@@ -76,11 +76,17 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    // The counters are process-global, so tests that move them must not
+    // interleave under the parallel test runner.
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     // The allocator is not registered globally in unit tests; exercise the
     // counter API directly.
     #[test]
     fn counters_move_consistently() {
+        let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let layout = Layout::from_size_align(4096, 8).unwrap();
         let before = TrackingAllocator::live_bytes();
         let p = unsafe { TrackingAllocator.alloc(layout) };
@@ -93,6 +99,7 @@ mod tests {
 
     #[test]
     fn measure_reports_peak_delta() {
+        let _serial = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let layout = Layout::from_size_align(10_000, 8).unwrap();
         let (_, delta) = TrackingAllocator::measure(|| {
             let p = unsafe { TrackingAllocator.alloc(layout) };

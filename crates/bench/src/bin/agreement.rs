@@ -1,6 +1,7 @@
-//! Quantifies the semantic gaps documented in DESIGN.md §6 on randomised
-//! workloads: how often do the faithful paper algorithms deviate from the
-//! corrected variants and from the exhaustive oracle?
+//! Quantifies the semantic gaps documented in `ARCHITECTURE.md`
+//! § *Semantic gaps* on randomised workloads: how often do the faithful
+//! paper algorithms deviate from the corrected variants and from the
+//! exhaustive oracle?
 //!
 //! Usage: `agreement [--cases N]` (default 400; venues are tiny malls so the
 //! exponential oracle stays cheap).

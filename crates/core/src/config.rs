@@ -26,7 +26,7 @@ pub enum AsynMode {
     /// interval.
     Faithful,
     /// Resolve every relaxation against the reduced graph of its *own*
-    /// arrival interval (served from the engine cache). Equivalent to
+    /// arrival interval (the engine's per-interval view). Equivalent to
     /// `Syn_Check` door-by-door, so ITG/A(Exact) always matches ITG/S —
     /// unlike `Faithful`, whose single advancing cursor can judge a
     /// relaxation against the wrong interval (see the `arrive_too_early`
@@ -43,10 +43,6 @@ pub struct ItspqConfig {
     pub expand: ExpandPolicy,
     /// Refresh semantics of Algorithm 4 (ITG/A only).
     pub asyn_mode: AsynMode,
-    /// Whether the ITG/A engine caches reduced graphs per checkpoint interval
-    /// across queries (`false` re-runs `Graph_Update` from scratch each time,
-    /// matching a cold Algorithm 3 invocation).
-    pub cache_views: bool,
 }
 
 impl Default for ItspqConfig {
@@ -55,7 +51,6 @@ impl Default for ItspqConfig {
             velocity: WALKING_SPEED,
             expand: ExpandPolicy::PaperPruned,
             asyn_mode: AsynMode::Faithful,
-            cache_views: true,
         }
     }
 }
@@ -90,13 +85,6 @@ impl ItspqConfig {
         self.asyn_mode = mode;
         self
     }
-
-    /// Returns a copy with reduced-graph caching toggled.
-    #[must_use]
-    pub fn with_cache_views(mut self, cache: bool) -> Self {
-        self.cache_views = cache;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -109,18 +97,15 @@ mod tests {
         assert!((c.velocity.kmh() - 5.0).abs() < 1e-9);
         assert_eq!(c.expand, ExpandPolicy::PaperPruned);
         assert_eq!(c.asyn_mode, AsynMode::Faithful);
-        assert!(c.cache_views);
     }
 
     #[test]
     fn builder_style_updates() {
         let c = ItspqConfig::full_relax()
             .with_asyn_mode(AsynMode::Exact)
-            .with_cache_views(false)
             .with_velocity(Velocity::from_kmh(3.6).unwrap());
         assert_eq!(c.expand, ExpandPolicy::FullRelax);
         assert_eq!(c.asyn_mode, AsynMode::Exact);
-        assert!(!c.cache_views);
         assert!((c.velocity.mps() - 1.0).abs() < 1e-12);
     }
 }

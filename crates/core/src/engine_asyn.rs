@@ -4,21 +4,21 @@
 //! ITG/A trades the per-relaxation ATI lookups of ITG/S for **reduced
 //! IT-Graphs**: per checkpoint interval, a view of the topology with every
 //! closed door deleted, so within an interval a door's usability is a
-//! constant-time bitset probe. The views are cached behind a
-//! [`parking_lot::RwLock`] keyed by interval index — the shared structure a
-//! [`crate::server::VenueServer`] amortises across worker threads: reads
-//! (cache hits) take the shared lock, and a miss builds the interval's view
-//! exactly once per engine no matter how many threads miss simultaneously
-//! (a per-interval `OnceLock` slot; the build runs outside the map lock, so
-//! it never stalls traffic on other intervals).
+//! constant-time bitset probe. A venue has a fixed number of checkpoint
+//! intervals, so the engine keeps one view slot per interval in a plain
+//! array indexed by interval: each slot is built at most once, by the first
+//! query (on any thread) that reaches its interval, and is only read after
+//! that — no map, no lock on the hit path, no refcount traffic. This is the
+//! shared structure a [`crate::server::VenueServer`] amortises across worker
+//! threads.
 //!
 //! The engine holds its graph as an `Arc<ItGraph>` and is `Sync`: one
 //! instance can answer queries from many threads concurrently.
 //!
 //! # Example
 //!
-//! The paper's Example 1 through ITG/A: same answers as ITG/S, plus a warm
-//! reduced-graph cache after the first query.
+//! The paper's Example 1 through ITG/A: same answers as ITG/S, plus a built
+//! reduced view after the first query.
 //!
 //! ```
 //! use indoor_space::paper_example;
@@ -30,29 +30,21 @@
 //!
 //! let morning = engine.query(&Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)));
 //! assert!((morning.path.expect("feasible at 9:00").length - 12.0).abs() < 1e-9);
-//! assert!(engine.cached_views() >= 1); // Graph_Update ran and was cached
+//! assert!(engine.cached_views() >= 1); // Graph_Update ran and its view is kept
 //!
 //! let night = engine.query(&Query::new(ex.p3, ex.p4, TimeOfDay::hm(23, 30)));
 //! assert!(night.path.is_none());
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
-use parking_lot::RwLock;
 
 use crate::framework::{run_search, run_search_targets, SweepObserver, TvChecker};
 use crate::{
     AsynMode, ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, ReducedGraph, SearchStats,
 };
-
-/// One cache slot: a view built at most once, by whichever thread first
-/// touches its interval. The slot is created under the map's write lock, but
-/// the (comparatively expensive) `ReducedGraph::build` runs outside it, so a
-/// miss on one interval never blocks hits — or builds — on others.
-type ViewSlot = Arc<OnceLock<Arc<ReducedGraph>>>;
 
 /// The ITG/A query engine.
 ///
@@ -62,16 +54,16 @@ type ViewSlot = Arc<OnceLock<Arc<ReducedGraph>>>;
 /// `Asyn_Check` refreshes the reduced graph via `Graph_Update` (Algorithm 3)
 /// and — in the paper's [`AsynMode::Faithful`] — rejects that relaxation.
 ///
-/// Reduced graphs are cached per checkpoint interval (the asynchronous
-/// maintenance an online deployment would perform once per checkpoint);
-/// set [`ItspqConfig::cache_views`] to `false` to rebuild on every request.
+/// Reduced graphs are kept per checkpoint interval for the engine's lifetime
+/// (the asynchronous maintenance an online deployment would perform once per
+/// checkpoint): one slot per interval, sized when the engine is built,
+/// filled on first use or by [`AsynEngine::precompute_all`].
 pub struct AsynEngine {
     graph: Arc<ItGraph>,
     config: ItspqConfig,
-    // A BTreeMap so every enumeration of the cache (stats, byte counts) is
-    // in interval order — hasher-state iteration in a parity-critical
-    // module would trip `nondet-iteration`, and deservedly.
-    cache: RwLock<BTreeMap<usize, ViewSlot>>,
+    /// One lazily built view per checkpoint interval, indexed by
+    /// `CheckpointSet::interval_index`.
+    views: Box<[OnceLock<ReducedGraph>]>,
 }
 
 impl AsynEngine {
@@ -79,10 +71,14 @@ impl AsynEngine {
     /// with other engines) or a plain [`ItGraph`] (wrapped on the fly).
     #[must_use]
     pub fn new(graph: impl Into<Arc<ItGraph>>, config: ItspqConfig) -> Self {
+        let graph = graph.into();
+        let views = (0..graph.space().checkpoints().len())
+            .map(|_| OnceLock::new())
+            .collect();
         AsynEngine {
-            graph: graph.into(),
+            graph,
             config,
-            cache: RwLock::new(BTreeMap::new()),
+            views,
         }
     }
 
@@ -104,101 +100,56 @@ impl AsynEngine {
         &self.config
     }
 
-    /// Number of reduced graphs currently cached (slots whose view has
-    /// finished building).
+    /// Number of reduced graphs built so far (at most one per checkpoint
+    /// interval).
     #[must_use]
     pub fn cached_views(&self) -> usize {
-        self.cache
-            .read()
-            .values()
-            .filter(|s| s.get().is_some())
-            .count()
+        self.views.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// Total heap bytes of the cached reduced graphs.
+    /// Total heap bytes of the reduced graphs built so far.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
-        self.cache
-            .read()
-            .values()
-            .filter_map(|s| s.get())
-            .map(|v| v.heap_bytes())
+        self.views
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(ReducedGraph::heap_bytes)
             .sum()
     }
 
     /// Precomputes the reduced graph of every checkpoint interval (warm
     /// start for an online deployment).
     pub fn precompute_all(&self) {
-        let times: Vec<_> = self.graph.space().checkpoints().times().to_vec();
         let mut stats = SearchStats::default();
-        for t in times {
+        for &t in self.graph.space().checkpoints().times() {
             let _ = self.view_for(t, &mut stats);
         }
     }
 
-    /// Drops all cached reduced graphs.
-    pub fn clear_cache(&self) {
-        self.cache.write().clear();
-    }
-
-    /// `Graph_Update(t, T)` with caching: the reduced view for the checkpoint
-    /// interval containing clock time `t`.
+    /// `Graph_Update(t, T)`, built once per engine: the reduced view for the
+    /// checkpoint interval containing clock time `t`.
     ///
-    /// With caching on, each interval's view is built **exactly once** per
-    /// engine, even under concurrent misses: threads race for the interval's
-    /// [`ViewSlot`] (a cheap map insertion under the write lock) and
-    /// [`OnceLock::get_or_init`] lets exactly one of them run
-    /// `ReducedGraph::build`, outside the map lock — losers of the race block
-    /// on that slot only, while hits and builds for other intervals proceed.
+    /// Under concurrent first use, [`OnceLock::get_or_init`] lets exactly one
+    /// thread run `ReducedGraph::build`; racers block on that slot only.
     /// `stats.views_built` counts only actual constructions.
-    fn view_for(&self, t: indoor_time::TimeOfDay, stats: &mut SearchStats) -> Arc<ReducedGraph> {
+    fn view_for(&self, t: TimeOfDay, stats: &mut SearchStats) -> &ReducedGraph {
         let space = self.graph.space();
-        if !self.config.cache_views {
-            stats.views_built += 1;
-            return Arc::new(ReducedGraph::build(space, t));
-        }
-        let idx = space.checkpoints().interval_index(t);
-        // NB: probe and upgrade are separate statements so the read guard is
-        // dropped before the write lock is taken (edition-2021 `if let`
-        // temporaries live through the `else` branch — self-deadlock bait).
-        let probed = self.cache.read().get(&idx).map(Arc::clone);
-        let slot: ViewSlot = match probed {
-            Some(s) => s,
-            None => {
-                let mut cache = self.cache.write();
-                Arc::clone(cache.entry(idx).or_default())
-            }
-        };
         let mut built_here = false;
-        let view = slot.get_or_init(|| {
+        let view = self.views[space.checkpoints().interval_index(t)].get_or_init(|| {
             built_here = true;
-            Arc::new(ReducedGraph::build(space, t))
+            ReducedGraph::build(space, t)
         });
-        if built_here {
-            stats.views_built += 1;
-        }
-        Arc::clone(view)
+        stats.views_built += usize::from(built_here);
+        view
     }
 
     /// Answers `ITSPQ(ps, pt, t)`.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
         let mut stats0 = SearchStats::default();
-        let t0 = query.departure();
-        let current = self.view_for(query.time, &mut stats0);
-        let mut checker = AsynChecker {
-            engine: self,
-            velocity: self.config.velocity,
-            t0,
-            next_instant: self.graph.space().checkpoints().next_instant(t0),
-            view_bytes: current.heap_bytes(),
-            seen_intervals: vec![current.interval_index()],
-            current,
-            mode: self.config.asyn_mode,
-            pre_stats: stats0,
-        };
+        let mut checker = AsynChecker::new(self, query.time, &mut stats0);
         let (path, mut stats) = run_search(&self.graph, query, &self.config, &mut checker);
-        stats.views_built += checker.pre_stats.views_built;
+        stats.views_built += stats0.views_built;
         QueryResult { path, stats }
     }
 
@@ -228,19 +179,7 @@ impl AsynEngine {
         observer: &mut SweepObserver,
     ) -> (Vec<Option<Path>>, SearchStats) {
         let mut stats0 = SearchStats::default();
-        let t0 = Timestamp::from_time_of_day(time);
-        let current = self.view_for(time, &mut stats0);
-        let mut checker = AsynChecker {
-            engine: self,
-            velocity: self.config.velocity,
-            t0,
-            next_instant: self.graph.space().checkpoints().next_instant(t0),
-            view_bytes: current.heap_bytes(),
-            seen_intervals: vec![current.interval_index()],
-            current,
-            mode: self.config.asyn_mode,
-            pre_stats: stats0,
-        };
+        let mut checker = AsynChecker::new(self, time, &mut stats0);
         let (paths, mut stats) = run_search_targets(
             &self.graph,
             source,
@@ -250,7 +189,7 @@ impl AsynEngine {
             &mut checker,
             observer,
         );
-        stats.views_built += checker.pre_stats.views_built;
+        stats.views_built += stats0.views_built;
         (paths, stats)
     }
 }
@@ -274,13 +213,13 @@ impl std::fmt::Debug for AsynEngine {
 /// — the paper's algorithm can accept a door that is closed at the actual
 /// arrival time (see the `arrive_too_early` integration tests). `Exact`
 /// instead resolves every relaxation against the reduced graph of its own
-/// arrival interval (served from the engine cache), which is equivalent to
-/// `Syn_Check` door-by-door and therefore always matches ITG/S.
+/// arrival interval (the engine's view for that interval), which is
+/// equivalent to `Syn_Check` door-by-door and therefore always matches ITG/S.
 struct AsynChecker<'a> {
     engine: &'a AsynEngine,
     velocity: Velocity,
     t0: Timestamp,
-    current: Arc<ReducedGraph>,
+    current: &'a ReducedGraph,
     /// Timeline instant at which the current view expires.
     next_instant: Timestamp,
     /// Accumulated bytes of every distinct view consulted by this query.
@@ -288,11 +227,27 @@ struct AsynChecker<'a> {
     /// Interval indices already accounted in `view_bytes`.
     seen_intervals: Vec<usize>,
     mode: AsynMode,
-    /// Stats accrued before the framework ran (initial view construction).
-    pre_stats: SearchStats,
 }
 
-impl AsynChecker<'_> {
+impl<'a> AsynChecker<'a> {
+    /// A checker for a search departing at `time`, positioned on that
+    /// interval's view; building the view (if this is its first use) is
+    /// counted in `stats`.
+    fn new(engine: &'a AsynEngine, time: TimeOfDay, stats: &mut SearchStats) -> Self {
+        let t0 = Timestamp::from_time_of_day(time);
+        let current = engine.view_for(time, stats);
+        AsynChecker {
+            engine,
+            velocity: engine.config.velocity,
+            t0,
+            current,
+            next_instant: engine.graph.space().checkpoints().next_instant(t0),
+            view_bytes: current.heap_bytes(),
+            seen_intervals: vec![current.interval_index()],
+            mode: engine.config.asyn_mode,
+        }
+    }
+
     fn account_view(&mut self, view: &ReducedGraph) {
         if !self.seen_intervals.contains(&view.interval_index()) {
             self.seen_intervals.push(view.interval_index());
@@ -328,7 +283,7 @@ impl TvChecker for AsynChecker<'_> {
                 // Crossing: Graph_Update(tarr, T), then return false.
                 let view = self.engine.view_for(tarr.time_of_day(), stats);
                 self.next_instant = self.engine.graph.space().checkpoints().next_instant(tarr);
-                self.account_view(&view);
+                self.account_view(view);
                 self.current = view;
                 stats.graph_updates += 1;
                 false
@@ -336,8 +291,8 @@ impl TvChecker for AsynChecker<'_> {
             AsynMode::Exact => {
                 // Constant-time bitset lookup in the arrival interval's view.
                 let view = self.engine.view_for(tarr.time_of_day(), stats);
-                self.account_view(&view);
-                if !Arc::ptr_eq(&view, &self.current) {
+                self.account_view(view);
+                if view.interval_index() != self.current.interval_index() {
                     stats.graph_updates += 1;
                     self.current = view;
                 }
@@ -390,22 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_rebuilds() {
-        let (ex, eng) = engine(ItspqConfig::default().with_cache_views(false));
-        let r1 = eng.query(&Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)));
-        let r2 = eng.query(&Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)));
-        assert_eq!(eng.cached_views(), 0);
-        assert!(r1.stats.views_built >= 1);
-        assert!(r2.stats.views_built >= 1);
-    }
-
-    #[test]
     fn precompute_builds_every_interval() {
         let (ex, eng) = engine(ItspqConfig::default());
         eng.precompute_all();
         assert_eq!(eng.cached_views(), ex.space.checkpoints().len());
-        eng.clear_cache();
-        assert_eq!(eng.cached_views(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! asynchronous reduced-graph check of Algorithm 4 (ITG/A).
 //!
 //! Two deliberate deviations from the paper's pseudo-code, neither affecting
-//! results (see `DESIGN.md` §6):
+//! results (see `ARCHITECTURE.md` § *Semantic gaps*):
 //!
 //! * doors are inserted into the priority queue lazily instead of enheaping
 //!   every door with distance ∞ upfront (lines 2–5) — the "pop ∞ ⇒ no route"

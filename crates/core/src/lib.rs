@@ -28,8 +28,8 @@
 //! * [`ord`] — NaN-safe total-order comparisons every distance in this crate
 //!   is ranked by (no `partial_cmp(..).unwrap()` anywhere in the search);
 //! * [`server`] — [`VenueServer`], the concurrent batched query front-end:
-//!   one `Arc`-shared venue, a worker pool, and the ITG/A reduced-graph
-//!   cache amortised across threads.
+//!   one `Arc`-shared venue, a worker pool, and the ITG/A per-interval
+//!   reduced views amortised across threads.
 //!
 //! ## Ownership model
 //!
@@ -43,7 +43,8 @@
 //! ## Faithfulness switches
 //!
 //! The four-page paper leaves a few semantics implicit; they are exposed as
-//! configuration instead of being silently resolved (see `DESIGN.md` §6):
+//! configuration instead of being silently resolved (see `ARCHITECTURE.md`
+//! § *Semantic gaps*):
 //! [`ExpandPolicy`] selects the paper's visited-partition pruning or a full
 //! Dijkstra relaxation, and [`AsynMode`] selects the paper's drop-on-refresh
 //! behaviour or an exact re-check.

@@ -9,12 +9,12 @@
 //!
 //! What makes this safe and fast is the ownership model of the rest of the
 //! crate: the IT-Graph is immutable and `Arc`-shared, so workers borrow it
-//! freely, and the only mutable shared state is ITG/A's reduced-graph cache
-//! behind a `parking_lot::RwLock` — read-locked on the hot path, write-locked
-//! only the first time a checkpoint interval is seen. Each interval's view is
-//! built exactly once per server, never per worker (see
-//! `AsynEngine::view_for`). Call [`VenueServer::warm`] to precompute every
-//! interval before opening the floodgates.
+//! freely, and ITG/A's reduced views sit in a fixed array with one slot per
+//! checkpoint interval — read without locks, written only by the first
+//! query to reach an interval. Each interval's view is built exactly once
+//! per server, never per worker (see `AsynEngine::view_for`). Call
+//! [`VenueServer::warm`] to precompute every interval before opening the
+//! floodgates.
 //!
 //! By default the server answers with ITG/A in [`AsynMode::Exact`], which is
 //! answer-for-answer identical to ITG/S while sharing the cached reduced
@@ -295,18 +295,18 @@ impl VenueServer {
     }
 
     /// Precomputes the reduced graph of every checkpoint interval, so no
-    /// query ever pays the write-lock construction path.
+    /// query ever pays for building a view.
     pub fn warm(&self) {
         self.asyn.precompute_all();
     }
 
-    /// Number of reduced-graph views currently cached.
+    /// Number of reduced-graph views built so far.
     #[must_use]
     pub fn cached_views(&self) -> usize {
         self.asyn.cached_views()
     }
 
-    /// Total heap bytes of the cached reduced-graph views.
+    /// Total heap bytes of the reduced-graph views built so far.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
         self.asyn.cache_bytes()

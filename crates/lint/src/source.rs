@@ -26,8 +26,9 @@ pub enum FileKind {
 }
 
 /// The crates whose *library* code is held to panic-, float- and
-/// lock-discipline. `bench` is deliberately absent (it owns the wall clock
-/// and the documented `unsafe` allocator); vendored stubs are out of scope.
+/// lock-discipline. `bench` and `perfbench` are deliberately absent (they
+/// own the wall clock and the documented `unsafe` allocators); vendored
+/// stubs are out of scope.
 pub const LIB_DISCIPLINE_CRATES: &[&str] = &[
     "core",
     "indoor-geom",
@@ -61,6 +62,7 @@ pub struct FileCtx {
     /// Workspace-relative path with forward slashes.
     pub path: String,
     /// The owning crate's directory name (`core`, `indoor-geom`, …);
+    /// `perfbench` for the standalone benchmark package at the root;
     /// `itspq-repro` for the root umbrella crate.
     pub crate_name: String,
     /// The file's role.
@@ -88,6 +90,8 @@ pub fn classify(rel: &str) -> FileCtx {
     let parts: Vec<&str> = rel.split('/').collect();
     let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
         parts[1].to_string()
+    } else if parts.first() == Some(&"perfbench") {
+        "perfbench".to_string()
     } else {
         "itspq-repro".to_string()
     };
@@ -310,6 +314,13 @@ mod tests {
                 FileKind::Vendor,
                 false,
             ),
+            (
+                "perfbench/src/workload.rs",
+                "perfbench",
+                FileKind::Lib,
+                false,
+            ),
+            ("perfbench/src/main.rs", "perfbench", FileKind::Bin, false),
             ("src/lib.rs", "itspq-repro", FileKind::Lib, true),
             (
                 "tests/paper_example.rs",

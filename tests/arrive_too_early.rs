@@ -1,5 +1,6 @@
 //! A deterministic demonstration of the **arrive-too-early anomaly** left
-//! open by the paper's no-waiting semantics (DESIGN.md §6.4).
+//! open by the paper's no-waiting semantics (`ARCHITECTURE.md`
+//! § *Semantic gaps*, item 5).
 //!
 //! Setup: two routes from `ps` to `pt`. The short one crosses door `gate`
 //! which only opens at 8:00. Departing at 7:55, the short route arrives at
