@@ -3,21 +3,20 @@
 //! 1. **Worker sweep** — queries/sec vs worker threads (1–8) for a
 //!    [`itspq_core::VenueServer`] on a mixed-time batch;
 //! 2. **Sharing sweep** — queries/sec vs batch size × traffic shape for
-//!    every sharing level ([`itspq_core::BatchStrategy`] `Shared`,
-//!    `SharedDoor`, `SharedDoor` + warm-start donation (`warm`),
+//!    both sharing levels ([`itspq_core::BatchStrategy`] `Shared` and
 //!    `SharedInterval`) against `Independent` on the *same* batches:
-//!    exact-duplicate (source, time) pairs collapse at every level, while
-//!    partition-clustered sources with jittered departures collapse only
-//!    under door-level grouping, warm-start donation and interval
-//!    coalescing.
+//!    exact-duplicate (source, time) pairs collapse at both levels, while
+//!    partition-clustered sources, at one instant or with jittered
+//!    departures, collapse only under interval coalescing.
 //!
 //! The default run uses the paper's five-floor mall and writes the committed
 //! `BENCH_throughput.json` baseline plus `results/throughput*.csv`.
 //! `--quick` (wired into CI) shrinks the venue to a single floor, asserts a
 //! minimum realised grouping ratio per sharing level on its natural batch
-//! shape (and that ratios are monotone as keys coarsen), and exits non-zero
-//! if the hot batch exceeds a generous wall-clock budget — the serving-path
-//! analogue of `construction --quick`.
+//! shapes (and that the interval key never groups less than the exact
+//! key), asserts that each level at least matches independent execution
+//! on those shapes, and exits non-zero if the hot batch exceeds a generous
+//! wall-clock budget — the serving-path analogue of `construction --quick`.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -119,12 +118,12 @@ fn main() {
                 .expect("quick sweep includes every (strategy, shape) series")
         };
         // Tripwire 1: each sharing level must realise grouping on its
-        // natural batch shape — exact keys on bit-identical zipf duplicates,
-        // door keys on partition-clustered sources, interval keys on
-        // clustered sources with jittered departures.
+        // natural batch shapes — exact keys on bit-identical zipf
+        // duplicates, interval keys on partition-clustered sources at one
+        // instant and with jittered departures.
         for (strategy, skew) in [
             ("shared", "zipf-exact"),
-            ("shared-door", "door-clustered"),
+            ("shared-interval", "door-clustered"),
             ("shared-interval", "clustered"),
         ] {
             let p = hot(strategy, skew);
@@ -133,15 +132,9 @@ fn main() {
                 "sharing regression: {strategy} formed no groups on its {skew} batch"
             );
         }
-        // Tripwire 2: coarser keys can only merge more — plan ratios must be
-        // monotone by level on every shape and batch size.
+        // Tripwire 2: the coarser key can only merge more — the interval
+        // plan ratio must not exceed the exact one on any shape and size.
         for p in sharing.iter().filter(|p| p.strategy == "shared") {
-            let door = sharing
-                .iter()
-                .find(|q| {
-                    q.strategy == "shared-door" && q.skew == p.skew && q.batch_size == p.batch_size
-                })
-                .expect("door row exists for every shared row");
             let interval = sharing
                 .iter()
                 .find(|q| {
@@ -151,19 +144,17 @@ fn main() {
                 })
                 .expect("interval row exists for every shared row");
             assert!(
-                interval.sharing_ratio <= door.sharing_ratio
-                    && door.sharing_ratio <= p.sharing_ratio,
+                interval.sharing_ratio <= p.sharing_ratio,
                 "plan-ratio monotonicity broke on {} batch of {}: \
-                 exact {:.3}, door {:.3}, interval {:.3}",
+                 exact {:.3}, interval {:.3}",
                 p.skew,
                 p.batch_size,
                 p.sharing_ratio,
-                door.sharing_ratio,
                 interval.sharing_ratio
             );
         }
         // Tripwire 3: exact sharing must still beat independent execution on
-        // the bit-identical hot batch (the levels above it only merge more).
+        // the bit-identical hot batch (the interval key only merges more).
         let hottest = hot("shared", "zipf-exact");
         assert!(
             hottest.speedup > 1.0,
@@ -171,12 +162,12 @@ fn main() {
              on the hot zipf batch ({:.2}x)",
             hottest.speedup
         );
-        // Tripwire 3b: the coarse levels must now *pay* on their natural
-        // shapes, not just group — door-level replay on partition-clustered
-        // sources and interval coalescing on jittered departures each have
-        // to at least match independent execution on the hot batch.
+        // Tripwire 3b: interval coalescing must *pay* on its natural shapes,
+        // not just group — replay on partition-clustered sources and
+        // retime/replay on jittered departures each have to at least match
+        // independent execution on the hot batch.
         for (strategy, skew) in [
-            ("shared-door", "door-clustered"),
+            ("shared-interval", "door-clustered"),
             ("shared-interval", "clustered"),
         ] {
             let p = hot(strategy, skew);
@@ -197,8 +188,8 @@ fn main() {
             hottest.batch_secs
         );
         println!(
-            "quick tripwires ok: per-level grouping realised, plan ratios \
-             monotone, hot {}-query shared batch {:.3}s <= {QUICK_BUDGET_SECS}s \
+            "quick tripwires ok: per-level grouping realised, interval plan \
+             ratios <= exact, hot {}-query shared batch {:.3}s <= {QUICK_BUDGET_SECS}s \
              at {:.2}x over independent",
             hottest.batch_size, hottest.batch_secs, hottest.speedup
         );
@@ -215,9 +206,8 @@ fn json_baseline(
     let _ = writeln!(
         out,
         "  \"description\": \"VenueServer queries/sec: worker sweep on a mixed-time batch, \
-         then every sharing level (Shared, SharedDoor, warm = SharedDoor + warm-start \
-         frontier donation, SharedInterval) vs Independent on identical batches across \
-         traffic shapes — uniform, zipf-exact duplicates, door-clustered sources, \
+         then both sharing levels (Shared, SharedInterval) vs Independent on identical \
+         batches across traffic shapes — uniform, zipf-exact duplicates, door-clustered sources, \
          clustered sources with jittered departures \
          (sharing_ratio = physical searches per query)\","
     );

@@ -90,8 +90,7 @@ pub fn throughput_sweep(
 /// One measured (batch size × traffic shape × sharing level) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharingPoint {
-    /// Sharing level label (see [`strategy_label`]; `"warm"` is door-level
-    /// sharing with warm-start frontier donation enabled).
+    /// Sharing level label (see [`strategy_label`]).
     pub strategy: &'static str,
     /// Queries per batch.
     pub batch_size: usize,
@@ -116,7 +115,6 @@ pub fn strategy_label(strategy: BatchStrategy) -> &'static str {
     match strategy {
         BatchStrategy::Independent => "independent",
         BatchStrategy::Shared => "shared",
-        BatchStrategy::SharedDoor => "shared-door",
         BatchStrategy::SharedInterval => "shared-interval",
     }
 }
@@ -155,8 +153,7 @@ impl TrafficShape {
     }
 
     /// Partition-clustered (but distinct) sources at fixed times: invisible
-    /// to exact keys, collapsed by door-level grouping (and everything
-    /// coarser).
+    /// to exact keys, collapsed by interval coalescing.
     #[must_use]
     pub fn door_clustered(exponent: f64, pool: usize) -> Self {
         TrafficShape {
@@ -168,7 +165,7 @@ impl TrafficShape {
 
     /// Partition-clustered (but distinct) sources with departure times
     /// jittered inside hot windows: invisible to exact keys, collapsed by
-    /// door-level grouping and interval coalescing.
+    /// interval coalescing.
     #[must_use]
     pub fn clustered(exponent: f64, pool: usize, spread_secs: f64) -> Self {
         TrafficShape {
@@ -221,7 +218,7 @@ pub fn skewed_batch(
 ///
 /// All servers run ITG/A with [`ItspqConfig::full_relax`] in
 /// [`AsynMode::Exact`] (full relaxation is the policy under which sharing is
-/// answer-preserving, and Exact's order-pure TV verdicts are what door-level
+/// answer-preserving, and Exact's order-pure TV verdicts are what interval
 /// replay certifies against — the Faithful cursor gates replay off) with
 /// `workers` threads; answers are asserted equal on the warm-up pass of
 /// every point, so the timed deltas are pure execution-plan effects.
@@ -235,47 +232,26 @@ pub fn sharing_sweep(
     delta: f64,
 ) -> Vec<SharingPoint> {
     let repeats = repeats.max(1);
-    let config = |strategy, warm_start| ServerConfig {
+    let config = |strategy| ServerConfig {
         workers,
         method: ServeMethod::Asyn,
         strategy,
-        warm_start,
         // Exact mode: order-pure verdicts (answer-identical to ITG/S),
-        // required for door-level replay to engage — see the server's
+        // required for interval replay to engage — see the server's
         // `verdict_pure` gate.
         itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
         ..ServerConfig::default()
     };
-    // The `"warm"` row is door-level sharing plus warm-start frontier
-    // donation across same-interval groups — the opt-in between
-    // `SharedDoor` and `SharedInterval`.
-    let levels: [(&'static str, BatchStrategy, bool); 4] = [
-        (
-            strategy_label(BatchStrategy::Shared),
-            BatchStrategy::Shared,
-            false,
-        ),
-        (
-            strategy_label(BatchStrategy::SharedDoor),
-            BatchStrategy::SharedDoor,
-            false,
-        ),
-        ("warm", BatchStrategy::SharedDoor, true),
-        (
-            strategy_label(BatchStrategy::SharedInterval),
-            BatchStrategy::SharedInterval,
-            false,
-        ),
-    ];
+    let levels = [BatchStrategy::Shared, BatchStrategy::SharedInterval];
     let independent =
-        VenueServer::with_config(Arc::clone(graph), config(BatchStrategy::Independent, false));
+        VenueServer::with_config(Arc::clone(graph), config(BatchStrategy::Independent));
     independent.warm();
     let servers: Vec<(&'static str, VenueServer)> = levels
         .iter()
-        .map(|&(label, s, warm)| {
-            let server = VenueServer::with_config(Arc::clone(graph), config(s, warm));
+        .map(|&s| {
+            let server = VenueServer::with_config(Arc::clone(graph), config(s));
             server.warm();
-            (label, server)
+            (strategy_label(s), server)
         })
         .collect();
 
@@ -459,11 +435,7 @@ mod tests {
             1,
             600.0,
         );
-        assert_eq!(
-            points.len(),
-            5,
-            "independent plus three sharing levels plus the warm row"
-        );
+        assert_eq!(points.len(), 3, "independent plus two sharing levels");
         let shared = points.iter().find(|p| p.strategy == "shared").unwrap();
         assert!(
             shared.sharing_ratio < 1.0,
@@ -491,19 +463,14 @@ mod tests {
                 .map(|p| p.sharing_ratio)
                 .unwrap()
         };
-        // Coarser keys can only merge more: ratios are monotone by level,
-        // with warm-start donation sitting between door and interval.
-        assert!(ratio("shared-door") <= ratio("shared"));
-        assert!(ratio("warm") <= ratio("shared-door"));
-        assert!(ratio("shared-interval") <= ratio("warm"));
-        // Distinct points in hot partitions with jittered times: door-level
-        // needs identical instants (rare under a 120 s spread), interval
-        // coalescing must realise sharing.
+        // The coarser key can only merge more.
+        assert!(ratio("shared-interval") <= ratio("shared"));
+        // Distinct points in hot partitions with jittered times: exact keys
+        // almost never match, interval coalescing must realise sharing.
         assert!(
             ratio("shared-interval") < 1.0,
-            "clustered traffic must group at interval level, ratios: shared {} door {} interval {}",
+            "clustered traffic must group at interval level, ratios: shared {} interval {}",
             ratio("shared"),
-            ratio("shared-door"),
             ratio("shared-interval"),
         );
     }

@@ -124,8 +124,8 @@ impl Trace {
 }
 
 /// Decision recorder for [`run_search_targets`]: an optional full decision
-/// trace (door-level replay) and/or a running minimum of the margin between
-/// each checked arrival and its next checkpoint (interval-coalescing
+/// trace (replay of members at other points) and/or a running minimum of
+/// the margin between each checked arrival and its next checkpoint (retime
 /// certificate). Both default to off, making the observer free on the
 /// per-query path.
 #[derive(Debug)]

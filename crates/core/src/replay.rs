@@ -1,9 +1,9 @@
-//! Order-free differential replay: door-level sharing's per-member
-//! derivation.
+//! Order-free differential replay: interval sharing's per-member
+//! derivation for members at other source points.
 //!
-//! Door-level grouping batches queries that leave the *same source
-//! partition* at compatible departure times but from **different source
-//! points**. Floating-point addition is not associative, so a member's
+//! Interval grouping batches queries that leave the *same source
+//! partition* at departure times in one checkpoint interval, and possibly
+//! from **different source points**. Floating-point addition is not associative, so a member's
 //! answer cannot be recovered from the lead's labels by offset arithmetic —
 //! instead, the lead's sweep records its complete relaxation log (a
 //! [`Trace`]: one shared door-event stream plus a per-target leg stream)

@@ -75,14 +75,13 @@ pub enum ServeMethod {
 
 /// How [`VenueServer::query_batch`] executes a batch.
 ///
-/// The three sharing levels are strictly nested: every group the `Shared`
-/// planner forms is also formed (possibly merged further) by `SharedDoor`,
-/// and every `SharedDoor` group by `SharedInterval`. All levels answer
-/// byte-identically to `Independent` — coarser keys admit members whose
-/// answers are *derived* from the group search (replayed or retimed) only
-/// when a per-member certificate proves the derivation exact; uncertifiable
-/// members fall back to their own per-query search (see `ARCHITECTURE.md`
-/// §Shared execution).
+/// The two sharing levels are nested: every group the `Shared` planner
+/// forms is also formed (possibly merged further) by `SharedInterval`. Both
+/// answer byte-identically to `Independent` — the interval key admits
+/// members whose answers are *derived* from the group search (replayed or
+/// retimed) only when a per-member certificate proves the derivation exact;
+/// uncertifiable members fall back to their own per-query search (see
+/// `ARCHITECTURE.md` §Shared execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// One search per query, exactly as submitted.
@@ -93,36 +92,14 @@ pub enum BatchStrategy {
     /// per-query execution. Sharing only happens where the search is provably
     /// target-independent.
     Shared,
-    /// Door-level sharing: additionally group queries that depart from
-    /// *different points of the same source partition* at the identical
-    /// time. The group search runs from one member's source and records its
-    /// decision trace; every other member's answer is recomputed by replaying
-    /// that trace against the member's own source legs, bailing to a
-    /// per-query search on the first divergent decision.
-    SharedDoor,
-    /// Interval coalescing: additionally group queries whose departure times
-    /// differ but fall in the same [`indoor_time::CheckpointSet`] interval.
-    /// The earliest departure leads; same-point members are retimed under a
-    /// margin certificate, different-point members are replayed as in
-    /// [`BatchStrategy::SharedDoor`].
+    /// Interval coalescing: group queries that leave the same source
+    /// partition — from any point — with departures in the same
+    /// [`indoor_time::CheckpointSet`] interval. The earliest departure leads
+    /// and records its decision trace; same-point later departures are
+    /// retimed under a margin certificate, and members at other points are
+    /// recomputed by replaying the trace against their own source legs (see
+    /// `replay.rs`).
     SharedInterval,
-}
-
-impl BatchStrategy {
-    /// Does this level group across source points within a partition?
-    #[must_use]
-    pub fn shares_door(self) -> bool {
-        matches!(
-            self,
-            BatchStrategy::SharedDoor | BatchStrategy::SharedInterval
-        )
-    }
-
-    /// Does this level group across departure times within an interval?
-    #[must_use]
-    pub fn shares_interval(self) -> bool {
-        self == BatchStrategy::SharedInterval
-    }
 }
 
 /// Tunables of a [`VenueServer`].
@@ -143,15 +120,6 @@ pub struct ServerConfig {
     pub method: ServeMethod,
     /// How batches are executed.
     pub strategy: BatchStrategy,
-    /// Warm-start donation across plan groups: merge same-partition groups
-    /// whose departures share a checkpoint interval, run the largest
-    /// constituent group first, and answer the remaining members from its
-    /// recorded frontier (replay / retime under the usual per-member
-    /// certificates — byte-identical or per-query fallback). Only meaningful
-    /// at [`BatchStrategy::SharedDoor`] (at `SharedInterval` the planner key
-    /// already merges these groups); off by default so each level's plan
-    /// stays a strict coarsening of the previous one.
-    pub warm_start: bool,
     /// Engine configuration shared by both methods.
     pub itspq: ItspqConfig,
 }
@@ -183,7 +151,6 @@ impl Default for ServerConfig {
             pin_workers: false,
             method: ServeMethod::Asyn,
             strategy: BatchStrategy::Shared,
-            warm_start: false,
             itspq: ItspqConfig::default().with_asyn_mode(AsynMode::Exact),
         }
     }
@@ -254,14 +221,6 @@ impl VenueServer {
         self
     }
 
-    /// Returns the server with warm-start frontier donation toggled (see
-    /// [`ServerConfig::warm_start`]).
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.config.warm_start = warm;
-        self
-    }
-
     /// Returns the server with the answering method replaced.
     #[must_use]
     pub fn with_method(mut self, method: ServeMethod) -> Self {
@@ -288,10 +247,11 @@ impl VenueServer {
         &self.config
     }
 
-    /// Worker threads used per batch.
+    /// Worker threads used per batch: the configured count clamped as in
+    /// [`ServerConfig::effective_workers`].
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.config.workers
+        self.config.effective_workers()
     }
 
     /// Precomputes the reduced graph of every checkpoint interval, so no
@@ -387,9 +347,9 @@ impl VenueServer {
     ///
     /// A query joins a shared group only when every sharing precondition
     /// holds (strategy, `FullRelax` expansion, validity, traversable-or-same
-    /// target partition — see [`BatchStrategy`]); the grouping key widens
-    /// with the strategy level (exact source+time, then source partition +
-    /// exact time, then source partition + checkpoint interval). Groups that
+    /// target partition — see [`BatchStrategy`]); the grouping key is the
+    /// exact source point and time under `Shared`, the source partition and
+    /// checkpoint interval under `SharedInterval`. Groups that
     /// end up with a single member are demoted to per-query items, so a
     /// plan's groups always amortise at least two queries. Each group's first
     /// member — its *lead*, whose search the others derive from — is rotated
@@ -434,10 +394,6 @@ impl VenueServer {
                 continue;
             }
             let key = match strategy {
-                BatchStrategy::SharedDoor => PlanKey::Door {
-                    partition: q.source.partition,
-                    time: time_bits(q),
-                },
                 BatchStrategy::SharedInterval => PlanKey::Interval {
                     partition: q.source.partition,
                     interval: space.checkpoints().interval_index(q.time),
@@ -457,59 +413,16 @@ impl VenueServer {
         }
 
         let mut members: Vec<usize> = Vec::new();
-        let warm = sharing && self.config.warm_start && strategy.shares_door();
-        if warm {
-            // Warm-start donation: key-distinct groups leaving the same
-            // partition inside one checkpoint interval merge into a single
-            // item. The largest constituent group is the *donor* — it runs
-            // (as `members[..donor_len]`, its earliest departure leading)
-            // and the appended neighbors are answered from its recorded
-            // frontier under the usual certificates. At `SharedInterval`
-            // the plan key equals the neighborhood key, so every
-            // neighborhood is a single group and this is the identity.
-            let mut hood_of: BTreeMap<(PartitionId, usize), usize> = BTreeMap::new();
-            let mut hoods: Vec<Vec<usize>> = Vec::new();
-            for g in 0..active {
-                let q = &queries[groups[g][0]];
-                let key = (
-                    q.source.partition,
-                    space.checkpoints().interval_index(q.time),
-                );
-                let h = *hood_of.entry(key).or_insert_with(|| {
-                    hoods.push(Vec::new());
-                    hoods.len() - 1
-                });
-                hoods[h].push(g);
+        for roster in groups.iter_mut().take(active) {
+            // A 1-member roster demotes to a per-query item.
+            if let [only] = roster[..] {
+                items.push(WorkItem::Single(only));
+                continue;
             }
-            for hood in hoods {
-                if let [only] = hood[..] {
-                    flush_group(queries, &mut groups[only], &mut items, &mut members);
-                    continue;
-                }
-                let mut donor = hood[0];
-                for &g in &hood[1..] {
-                    if groups[g].len() > groups[donor].len() {
-                        donor = g; // first-created wins ties
-                    }
-                }
-                rotate_earliest_lead(queries, &mut groups[donor]);
-                let start = members.len();
-                members.extend_from_slice(&groups[donor]);
-                let donor_len = groups[donor].len();
-                for &g in &hood {
-                    if g != donor {
-                        members.extend_from_slice(&groups[g]);
-                    }
-                }
-                items.push(WorkItem::Group {
-                    members: start..members.len(),
-                    donor_len,
-                });
-            }
-        } else {
-            for roster in groups.iter_mut().take(active) {
-                flush_group(queries, roster, &mut items, &mut members);
-            }
+            rotate_earliest_lead(queries, roster);
+            let start = members.len();
+            members.extend_from_slice(roster);
+            items.push(WorkItem::Group(start..members.len()));
         }
         BatchPlan {
             queries: queries.len(),
@@ -545,8 +458,8 @@ impl VenueServer {
                 out.push((*i, Ok(r)));
                 report
             }
-            WorkItem::Group { members, donor_len } => {
-                self.run_group(queries, &plan.members[members.clone()], *donor_len, ws, out)
+            WorkItem::Group(members) => {
+                self.run_group(queries, &plan.members[members.clone()], ws, out)
             }
         }
     }
@@ -561,7 +474,6 @@ impl VenueServer {
         &self,
         queries: &[Query],
         members: &[usize],
-        donor_len: usize,
         ws: &mut WorkerScratch,
         out: &mut Vec<(usize, Result<QueryResult, QueryError>)>,
     ) -> ItemReport {
@@ -570,7 +482,7 @@ impl VenueServer {
         let lead_time = time_bits(lead);
         // Record the decision trace only if some member starts elsewhere;
         // track checkpoint margins only if some same-point member departs at
-        // another time. Exact-key singleton-neighborhood groups need neither
+        // another time. Exact-key groups need neither
         // and pay no observer work at all. Replay additionally requires
         // order-pure TV verdicts — true for ITG/S and ITG/A(Exact), false
         // for the paper-faithful cursor, whose verdict depends on the
@@ -610,16 +522,12 @@ impl VenueServer {
         let mut lead_indexed = false;
         for (k, (&i, path)) in members.iter().zip(paths).enumerate() {
             let q = &queries[i];
-            let seeded = k >= donor_len;
             let same_pos = pos_bits(q) == lead_pos;
             if same_pos && time_bits(q) == lead_time {
                 // Every member reports the group's (single) search: the
                 // work its answer actually cost. Summing member stats
                 // therefore overcounts a shared batch — sum per *search*
                 // via `BatchStats` instead.
-                if seeded {
-                    report.seeded_labels += 1;
-                }
                 out.push((i, Ok(QueryResult { path, stats })));
                 continue;
             }
@@ -639,11 +547,12 @@ impl VenueServer {
                 // Same start, later departure: retime iff the shift clears
                 // the smallest margin every lead arrival had to its next
                 // checkpoint — then every TV verdict provably transfers.
-                // The explicit ordering guard matters: `Timestamp`
-                // subtraction saturates at zero, so an *earlier*-departing
-                // member (possible for warm-seeded neighbors — the donor's
-                // lead is only the earliest of the donor) would otherwise
-                // masquerade as a zero shift and be wrongly certified.
+                // The planner rotates the earliest departure into the lead
+                // slot, so the ordering guard always holds; it stays as a
+                // correctness check because `Timestamp` subtraction
+                // saturates at zero, and an *earlier*-departing member would
+                // otherwise masquerade as a zero shift and be wrongly
+                // certified.
                 let delta = (q.departure() - lead.departure()).seconds();
                 let ok = (delta + RETIME_SLACK_SECS < observer.min_margin_secs)
                     .then(|| retime(path.as_ref(), q, config));
@@ -680,17 +589,11 @@ impl VenueServer {
                     } else {
                         report.replayed += 1;
                     }
-                    if seeded {
-                        report.seeded_labels += 1;
-                    }
                     out.push((i, Ok(QueryResult { path: p, stats })));
                 }
                 None => {
                     let r = self.query(q);
                     report.fallbacks += 1;
-                    if seeded {
-                        report.seed_rejects += 1;
-                    }
                     report.views += r.stats.views_built;
                     out.push((i, Ok(r)));
                 }
@@ -784,8 +687,6 @@ impl VenueServer {
         stats.replayed += report.replayed;
         stats.retimed += report.retimed;
         stats.fallbacks += report.fallbacks;
-        stats.seeded_labels += report.seeded_labels;
-        stats.seed_rejects += report.seed_rejects;
         stats.search_nanos += report.search_nanos;
         stats.scatter_nanos += report.scatter_nanos;
         stats.groups += report.fallbacks;
@@ -805,37 +706,8 @@ enum WorkItem {
     Rejected(usize, QueryError),
     /// Answer all member queries (a range of [`BatchPlan::members`]) with
     /// one shared frontier. Invariants: ≥ 2 members, all shared-eligible,
-    /// the first `donor_len` share one [`PlanKey`] with the earliest
-    /// departure leading; any members beyond `donor_len` are warm-seeded
-    /// neighbors — other plan groups from the same partition and checkpoint
-    /// interval, answered from the donor's recorded frontier.
-    /// `donor_len == members.len()` means no donation happened.
-    Group {
-        members: Range<usize>,
-        donor_len: usize,
-    },
-}
-
-/// Demotes a 1-member roster to a [`WorkItem::Single`], otherwise rotates
-/// the earliest departure to the lead slot and appends the roster to the
-/// plan's member arena as a [`WorkItem::Group`] (no donation).
-fn flush_group(
-    queries: &[Query],
-    roster: &mut [usize],
-    items: &mut Vec<WorkItem>,
-    members: &mut Vec<usize>,
-) {
-    if let [only] = roster[..] {
-        items.push(WorkItem::Single(only));
-        return;
-    }
-    rotate_earliest_lead(queries, roster);
-    let start = members.len();
-    members.extend_from_slice(roster);
-    items.push(WorkItem::Group {
-        members: start..members.len(),
-        donor_len: roster.len(),
-    });
+    /// one [`PlanKey`], the earliest departure leading.
+    Group(Range<usize>),
 }
 
 /// Swaps the member with the earliest departure (first occurrence on ties)
@@ -916,15 +788,13 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, start.elapsed_nanos())
 }
 
-/// The planner's grouping key, one variant per sharing level. Strictly
-/// nested: equal `Exact` keys imply equal `Door` keys imply equal `Interval`
-/// keys, so each level's plan is a coarsening of the previous one.
+/// The planner's grouping key, one variant per sharing level. Nested: equal
+/// `Exact` keys imply equal `Interval` keys, so the interval plan is a
+/// coarsening of the exact one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum PlanKey {
     /// [`BatchStrategy::Shared`]: identical source point and departure time.
     Exact(GroupKey),
-    /// [`BatchStrategy::SharedDoor`]: same source partition, identical time.
-    Door { partition: PartitionId, time: u64 },
     /// [`BatchStrategy::SharedInterval`]: same source partition, departure
     /// in the same checkpoint interval.
     Interval {
@@ -942,8 +812,6 @@ struct ItemReport {
     replayed: usize,
     retimed: usize,
     fallbacks: usize,
-    seeded_labels: usize,
-    seed_rejects: usize,
     search_nanos: u64,
     scatter_nanos: u64,
 }
@@ -954,8 +822,6 @@ impl ItemReport {
         self.replayed += other.replayed;
         self.retimed += other.retimed;
         self.fallbacks += other.fallbacks;
-        self.seeded_labels += other.seeded_labels;
-        self.seed_rejects += other.seed_rejects;
         self.search_nanos += other.search_nanos;
         self.scatter_nanos += other.scatter_nanos;
     }
@@ -1026,7 +892,7 @@ impl BatchPlan {
     pub fn shared_groups(&self) -> usize {
         self.items
             .iter()
-            .filter(|i| matches!(i, WorkItem::Group { .. }))
+            .filter(|i| matches!(i, WorkItem::Group(_)))
             .count()
     }
 
@@ -1036,22 +902,10 @@ impl BatchPlan {
         self.items
             .iter()
             .map(|i| match i {
-                WorkItem::Group { members, .. } => members.len(),
+                WorkItem::Group(members) => members.len(),
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Number of groups that will run warm-started: merged from several plan
-    /// groups, with the donor's frontier answering the seeded neighbors.
-    #[must_use]
-    pub fn warm_starts(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|i| {
-                matches!(i, WorkItem::Group { members, donor_len } if *donor_len < members.len())
-            })
-            .count()
     }
 
     /// The batch-level report this plan implies (`views_built`, the derived
@@ -1070,7 +924,6 @@ impl BatchPlan {
             shared_queries: self.shared_queries(),
             frontier_reuses: self.shared_queries() - self.shared_groups(),
             rejected,
-            warm_starts: self.warm_starts(),
             ..BatchStats::default()
         }
     }
@@ -1136,7 +989,13 @@ mod tests {
         assert!(server.query_batch(&[]).is_empty());
         // More workers than queries is fine too.
         let server = server.with_workers(16);
+        // Unpinned, `workers()` reports the threads a batch really uses …
+        assert_eq!(server.workers(), host_parallelism().min(16));
         let one = [Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0))];
+        assert_eq!(server.query_batch(&one).len(), 1);
+        // … and pinned, the literal count past the host's parallelism.
+        let server = server.with_pinned_workers(16);
+        assert_eq!(server.workers(), 16);
         assert_eq!(server.query_batch(&one).len(), 1);
     }
 
@@ -1311,8 +1170,7 @@ mod tests {
         }
     }
 
-    /// Same-partition sources at spread-out points, plus spread-out times
-    /// inside one checkpoint interval.
+    /// Same-partition sources at spread-out points, all at one instant.
     fn door_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
         let p3 = ex.p3.partition;
         let at = |x: f64, y: f64| indoor_space::IndoorPoint::new(p3, indoor_geom::Point::new(x, y));
@@ -1341,12 +1199,12 @@ mod tests {
     fn door_level_plan_groups_same_partition_sources() {
         let ex = paper_example::build();
         let exact = sharing_server(&ex);
-        let door = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
+        let interval = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
         let batch = door_batch(&ex);
         // Exact keys only merge the two literal p3 queries …
         assert_eq!(exact.plan(&batch, false).shared_queries(), 2);
-        // … door keys merge all five (same partition, same instant).
-        let plan = door.plan(&batch, false);
+        // … interval keys merge all five (same partition, same interval).
+        let plan = interval.plan(&batch, false);
         assert_eq!(plan.shared_groups(), 1);
         assert_eq!(plan.shared_queries(), 5);
         assert_eq!(plan.searches(), 1);
@@ -1355,11 +1213,11 @@ mod tests {
     #[test]
     fn interval_plan_groups_same_interval_times() {
         let ex = paper_example::build();
-        let door = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
+        let exact = sharing_server(&ex);
         let interval = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
         let batch = interval_batch(&ex);
-        // Door keys need identical instants: only the two 9:00 queries merge.
-        assert_eq!(door.plan(&batch, false).shared_queries(), 2);
+        // Exact keys need an identical point and instant: nothing merges.
+        assert_eq!(exact.plan(&batch, false).shared_queries(), 0);
         // Interval keys merge every query in the same checkpoint interval.
         let plan = interval.plan(&batch, false);
         assert!(plan.shared_queries() >= 4);
@@ -1381,7 +1239,7 @@ mod tests {
             .items
             .iter()
             .filter_map(|it| match it {
-                WorkItem::Group { members, .. } => Some(plan.members[members.start]),
+                WorkItem::Group(members) => Some(plan.members[members.start]),
                 _ => None,
             })
             .collect();
@@ -1393,7 +1251,7 @@ mod tests {
         let ex = paper_example::build();
         for method in [ServeMethod::Asyn, ServeMethod::Syn] {
             let server = sharing_server(&ex)
-                .with_strategy(BatchStrategy::SharedDoor)
+                .with_strategy(BatchStrategy::SharedInterval)
                 .with_method(method)
                 .with_workers(1);
             assert_parity(&server, &door_batch(&ex));
@@ -1421,7 +1279,6 @@ mod tests {
         for strategy in [
             BatchStrategy::Independent,
             BatchStrategy::Shared,
-            BatchStrategy::SharedDoor,
             BatchStrategy::SharedInterval,
         ] {
             let server = sharing_server(&ex).with_strategy(strategy);
@@ -1448,81 +1305,6 @@ mod tests {
             stats.retimed > 0,
             "same-point later departures must be answered by retime: {stats}"
         );
-    }
-
-    #[test]
-    fn warm_start_donates_frontiers_across_door_groups() {
-        let ex = paper_example::build();
-        let warm = sharing_server(&ex)
-            .with_strategy(BatchStrategy::SharedDoor)
-            .with_warm_start(true);
-        let p3 = ex.p3.partition;
-        let at = |x: f64, y: f64| indoor_space::IndoorPoint::new(p3, indoor_geom::Point::new(x, y));
-        // Three door-level plan groups (9:00, 9:20 and the 9:40 singleton)
-        // leave p3 inside one checkpoint interval: warm starting merges them
-        // behind the largest group's frontier.
-        let batch = vec![
-            Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
-            Query::new(at(1.0, 1.0), ex.p4, TimeOfDay::hm(9, 0)),
-            Query::new(at(2.5, 0.5), ex.p2, TimeOfDay::hm(9, 0)),
-            Query::new(ex.p3, ex.p2, TimeOfDay::hm(9, 20)),
-            Query::new(at(1.0, 1.0), ex.p1, TimeOfDay::hm(9, 20)),
-            Query::new(at(0.5, 2.0), ex.p1, TimeOfDay::hm(9, 40)),
-        ];
-        let plan = warm.plan(&batch, false);
-        assert_eq!(plan.warm_starts(), 1, "the three 9:xx groups must merge");
-        assert_eq!(plan.searches(), 1);
-        assert_eq!(plan.shared_queries(), 6);
-        // Cold door-level planning pays one search per distinct instant.
-        let cold = sharing_server(&ex).with_strategy(BatchStrategy::SharedDoor);
-        assert_eq!(cold.plan(&batch, false).warm_starts(), 0);
-        assert_eq!(cold.plan(&batch, false).searches(), 3);
-        // Execution books: warm starts engage, every seeded member is
-        // accounted as seeded or rejected, identity holds.
-        let (_, stats) = warm.query_batch_with_stats(&batch);
-        assert!(stats.is_consistent(), "{stats}");
-        assert!(stats.warm_starts > 0, "warm starts must engage: {stats}");
-        assert_eq!(
-            stats.seeded_labels + stats.seed_rejects,
-            3,
-            "the 9:20 pair and the 9:40 singleton are seeded: {stats}"
-        );
-        assert!(
-            stats.seeded_labels > 0,
-            "donation must answer at least one member: {stats}"
-        );
-        // And the answers stay byte-identical to per-query execution.
-        assert_parity(&warm, &batch);
-    }
-
-    #[test]
-    fn warm_start_books_stay_consistent_on_mixed_batches() {
-        let ex = paper_example::build();
-        let mut batch = skewed_batch(&ex);
-        batch.extend(door_batch(&ex));
-        batch.extend(interval_batch(&ex));
-        for strategy in [BatchStrategy::SharedDoor, BatchStrategy::SharedInterval] {
-            let server = sharing_server(&ex)
-                .with_strategy(strategy)
-                .with_warm_start(true);
-            let (_, stats) = server.query_batch_with_stats(&batch);
-            assert!(
-                stats.is_consistent(),
-                "warm {strategy:?} broke the accounting identity: {stats}"
-            );
-            assert_parity(&server, &batch);
-        }
-        // At SharedInterval the neighborhood key equals the plan key: warm
-        // merging must be the identity.
-        let interval = sharing_server(&ex).with_strategy(BatchStrategy::SharedInterval);
-        let warm_interval = sharing_server(&ex)
-            .with_strategy(BatchStrategy::SharedInterval)
-            .with_warm_start(true);
-        assert_eq!(
-            warm_interval.plan(&batch, false).searches(),
-            interval.plan(&batch, false).searches()
-        );
-        assert_eq!(warm_interval.plan(&batch, false).warm_starts(), 0);
     }
 
     #[test]

@@ -112,8 +112,9 @@ pub struct BatchStats {
     pub rejected: usize,
     /// ITG/A reduced views actually built over the whole batch.
     pub views_built: usize,
-    /// Door-level sharing: members answered by verified replay of the lead's
-    /// decision trace (different source point, same source partition).
+    /// Interval coalescing: members answered by verified replay of the
+    /// lead's decision trace (different source point, same source partition
+    /// and checkpoint interval).
     pub replayed: usize,
     /// Interval coalescing: members answered by retiming the lead's path
     /// under the margin certificate (same source point, later departure in
@@ -123,19 +124,6 @@ pub struct BatchStats {
     /// answered by their own per-query search instead (also counted in
     /// `groups`, subtracted from `shared_queries`/`frontier_reuses`).
     pub fallbacks: usize,
-    /// Warm-started groups: plan groups merged with same-partition,
-    /// same-checkpoint-interval neighbors whose members are answered from
-    /// the donor group's recorded frontier (`ServerConfig::warm_start`).
-    #[serde(default)]
-    pub warm_starts: usize,
-    /// Warm-seeded members answered from a donated frontier (by replay,
-    /// retime or duplicate/direct derivation) without paying a search.
-    #[serde(default)]
-    pub seeded_labels: usize,
-    /// Warm-seeded members whose derivation certificate failed; they fell
-    /// back to their own per-query search (also counted in `fallbacks`).
-    #[serde(default)]
-    pub seed_rejects: usize,
     /// Monotonic nanoseconds spent planning the batch (grouping + keying).
     #[serde(default)]
     pub plan_nanos: u64,
@@ -164,15 +152,19 @@ impl BatchStats {
     /// The execution-level accounting identity every batch satisfies: each
     /// non-rejected query either paid a physical search or reused a shared
     /// frontier — `groups + frontier_reuses == queries - rejected`.
+    /// Out-of-range counts (say, in a deserialized report) make it
+    /// inconsistent, never an arithmetic overflow.
     #[must_use]
     pub fn is_consistent(&self) -> bool {
-        self.groups + self.frontier_reuses == self.queries - self.rejected
-            && self.frontier_reuses + self.rejected <= self.queries
-            && self.replayed + self.retimed <= self.frontier_reuses
-            && self.shared_queries <= self.queries - self.rejected
-            && self.seeded_labels <= self.frontier_reuses
-            && self.seed_rejects <= self.fallbacks
-            && self.warm_starts <= self.groups
+        let Some(accepted) = self.queries.checked_sub(self.rejected) else {
+            return false;
+        };
+        self.groups.checked_add(self.frontier_reuses) == Some(accepted)
+            && self
+                .replayed
+                .checked_add(self.retimed)
+                .is_some_and(|derived| derived <= self.frontier_reuses)
+            && self.shared_queries <= accepted
     }
 
     /// A copy with the phase timings zeroed: the deterministic part of the
@@ -206,13 +198,6 @@ impl std::fmt::Display for BatchStats {
             self.fallbacks,
             self.rejected,
         )?;
-        if self.warm_starts > 0 {
-            write!(
-                f,
-                ", {} warm starts ({} seeded, {} seed rejects)",
-                self.warm_starts, self.seeded_labels, self.seed_rejects,
-            )?;
-        }
         if self.plan_nanos + self.search_nanos + self.scatter_nanos > 0 {
             write!(
                 f,
@@ -281,10 +266,30 @@ mod tests {
         // A lost fallback adjustment breaks the identity.
         let bad = BatchStats { groups: 6, ..ok };
         assert!(!bad.is_consistent());
+        // So do derived answers that outnumber the reuses.
+        assert!(!BatchStats { replayed: 4, ..ok }.is_consistent());
     }
 
     #[test]
-    fn warm_books_and_timings_feed_consistency_and_zeroing() {
+    fn out_of_range_counts_are_inconsistent_not_an_overflow() {
+        let s = BatchStats {
+            queries: 0,
+            rejected: 1,
+            ..BatchStats::default()
+        };
+        assert!(!s.is_consistent());
+        // Sums past `usize::MAX` are inconsistent too.
+        let huge = BatchStats {
+            queries: 1,
+            groups: usize::MAX,
+            frontier_reuses: 1,
+            ..BatchStats::default()
+        };
+        assert!(!huge.is_consistent());
+    }
+
+    #[test]
+    fn timings_feed_consistency_and_zeroing() {
         let s = BatchStats {
             queries: 10,
             groups: 3,
@@ -294,31 +299,12 @@ mod tests {
             replayed: 3,
             retimed: 1,
             fallbacks: 1,
-            warm_starts: 1,
-            seeded_labels: 2,
-            seed_rejects: 1,
             plan_nanos: 1_000,
             search_nanos: 2_000,
             scatter_nanos: 3_000,
             ..BatchStats::default()
         };
         assert!(s.is_consistent());
-        // Seeded members are a subset of the reuses; rejects of fallbacks.
-        assert!(!BatchStats {
-            seeded_labels: 7,
-            ..s
-        }
-        .is_consistent());
-        assert!(!BatchStats {
-            seed_rejects: 2,
-            ..s
-        }
-        .is_consistent());
-        assert!(!BatchStats {
-            warm_starts: 4,
-            ..s
-        }
-        .is_consistent());
         // Zeroing strips exactly the timing fields.
         let z = s.timings_zeroed();
         assert_eq!((z.plan_nanos, z.search_nanos, z.scatter_nanos), (0, 0, 0));
@@ -338,9 +324,7 @@ mod tests {
         };
         assert_ne!(s, other);
         assert_eq!(s.timings_zeroed(), other.timings_zeroed());
-        let text = s.to_string();
-        assert!(text.contains("1 warm starts (2 seeded, 1 seed rejects)"));
-        assert!(text.contains("phases plan 0.00ms"));
+        assert!(s.to_string().contains("phases plan 0.00ms"));
     }
 
     #[test]

@@ -37,7 +37,8 @@ pub enum SourceDistribution {
     /// Like [`SourceDistribution::Zipf`], but each draw yields a *fresh*
     /// random point inside the ranked anchor's partition instead of the
     /// anchor point itself: sources cluster by partition — the shape
-    /// `BatchStrategy::SharedDoor` groups on — without being bit-identical.
+    /// `BatchStrategy::SharedInterval` groups on — without being
+    /// bit-identical.
     ZipfNear {
         /// Skew exponent `s ≥ 0` over the anchor ranks.
         exponent: f64,
@@ -50,8 +51,8 @@ pub enum SourceDistribution {
 ///
 /// The temporal mirror of [`SourceDistribution`]: production request streams
 /// cluster in time (lunch rush, closing time) exactly as they cluster in
-/// space, and that clustering is what makes `VenueServer`'s door-level and
-/// interval-coalescing batch strategies pay off.
+/// space, and that clustering is what makes `VenueServer`'s
+/// interval-coalescing batch strategy pay off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimeDistribution {
     /// Every query departs at [`QueryGenConfig::time`] (the paper's §III-1

@@ -1,9 +1,10 @@
-//! Named regression pins for door-level and interval shared execution.
+//! Named regression pins for interval shared execution.
 //!
 //! Each test constructs one specific source-leg edge case the replay/retime
 //! machinery must handle — a source exactly on a door, a zero-length source
-//! leg on the *lead*, a sealed source door at departure — and pins the
-//! batch answer against per-query `try_query`, byte for byte. A second group
+//! leg on the *lead*, a sealed source door at departure, a dead lead
+//! frontier, an earlier-departing member — and pins the batch answer
+//! against per-query `try_query`, byte for byte. A second group
 //! of tests pins the `BatchStats` bookkeeping invariants: the accounting
 //! identity, view-count monotonicity versus independent execution, and
 //! worker-count independence of the whole report.
@@ -47,7 +48,7 @@ fn source_exactly_on_a_door_matches_per_query() {
     // A member whose source sits bitwise on d18's position: its source leg
     // to d18 is exactly 0.0, the degenerate case of the replayed relax.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::SharedDoor);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let nine = TimeOfDay::hm(9, 0);
     let batch = vec![
@@ -92,7 +93,7 @@ fn source_door_sealed_at_departure_matches_per_query() {
     // records rejected relaxes and genuine no-routes; members from other p3
     // points must reach the identical verdicts.
     let ex = paper_example::build();
-    let srv = server(&ex, BatchStrategy::SharedDoor);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let night = TimeOfDay::hm(23, 30);
     let batch = vec![
@@ -110,7 +111,7 @@ fn indoor_geom_point(x: f64, y: f64) -> itspq_repro::geom::Point {
     itspq_repro::geom::Point::new(x, y)
 }
 
-/// A mixed batch exercising every derivation: exact duplicates, door-spread
+/// A mixed batch exercising every derivation: exact duplicates, point-spread
 /// sources, interval-spread departures, a private-partition fallback.
 fn mixed_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
     let other = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.0, 1.5));
@@ -118,7 +119,7 @@ fn mixed_batch(ex: &paper_example::PaperExample) -> Vec<Query> {
     vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)), // exact duplicate
-        Query::new(other, ex.p2, TimeOfDay::hm(9, 0)), // door-spread
+        Query::new(other, ex.p2, TimeOfDay::hm(9, 0)), // point-spread
         Query::new(ex.p3, ex.p1, TimeOfDay::hm(9, 40)), // interval-spread
         Query::new(ex.p3, private, TimeOfDay::hm(9, 0)), // private: fallback
         Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)), // singleton
@@ -131,7 +132,6 @@ fn stats_invariants_hold_at_every_level() {
     for strategy in [
         BatchStrategy::Independent,
         BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
         BatchStrategy::SharedInterval,
     ] {
         let srv = server(&ex, strategy);
@@ -149,11 +149,7 @@ fn shared_views_never_exceed_independent_views() {
     let ex = paper_example::build();
     let (_, independent) =
         server(&ex, BatchStrategy::Independent).query_batch_with_stats(&mixed_batch(&ex));
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
+    for strategy in [BatchStrategy::Shared, BatchStrategy::SharedInterval] {
         let (_, shared) = server(&ex, strategy).query_batch_with_stats(&mixed_batch(&ex));
         assert!(
             shared.views_built <= independent.views_built,
@@ -168,11 +164,7 @@ fn shared_views_never_exceed_independent_views() {
 fn stats_are_identical_across_worker_counts() {
     let ex = paper_example::build();
     let batch = mixed_batch(&ex);
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
+    for strategy in [BatchStrategy::Shared, BatchStrategy::SharedInterval] {
         // Pinned so the 4-worker run really threads even on a 1-core host;
         // timings are measured wall-clock and are the one legitimately
         // nondeterministic part of the report, so compare them zeroed.
@@ -196,40 +188,32 @@ fn stats_are_identical_across_worker_counts() {
     }
 }
 
-/// A warm door-level server: frontier donation across same-interval groups.
-fn warm_server(ex: &paper_example::PaperExample) -> VenueServer {
-    let config = ServerConfig {
-        strategy: BatchStrategy::SharedDoor,
-        warm_start: true,
-        itspq: ItspqConfig::full_relax().with_asyn_mode(AsynMode::Exact),
-        ..ServerConfig::default()
-    };
-    VenueServer::with_config(ItGraph::shared(ex.space.clone()), config)
-}
+// The four `warm_*` pins: interval groups whose members differ from the
+// lead in source point, departure instant or both.
 
 #[test]
 fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
-    // 23:30: d18 is sealed, so the donor group's frontier dies immediately
-    // (every p3 exit rejected). The 23:40 neighbors are seeded from that
-    // dead frontier and must reach the identical "no such routes" verdicts
-    // — or fall back — never a phantom route.
+    // 23:30: d18 is sealed, so the lead's frontier dies immediately (every
+    // p3 exit rejected). The 23:40 members are replayed against that dead
+    // frontier and must reach the identical "no such routes" verdicts — or
+    // fall back — never a phantom route.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(23, 30)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(23, 30)),
-        Query::new(far, ex.p4, TimeOfDay::hm(23, 40)), // seeded group
+        Query::new(far, ex.p4, TimeOfDay::hm(23, 40)),
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(23, 40)),
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(
         plan.searches(),
         1,
-        "both night groups must merge behind one donor"
+        "both night instants must share one interval group"
     );
-    assert_pinned(&srv, &batch, "sealed donor frontier");
+    assert_pinned(&srv, &batch, "sealed lead frontier");
     let got = srv.try_query_batch(&batch);
     assert!(
         !result_found(&got[0]) && !result_found(&got[2]),
@@ -237,17 +221,17 @@ fn warm_donor_fully_sealed_at_member_departure_matches_per_query() {
     );
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
+    assert_eq!(stats.replayed + stats.retimed, 3, "{stats}");
 }
 
 #[test]
 fn warm_merged_singletons_donate_an_empty_frontier_delta() {
-    // Two singleton plan groups in one interval: warm merging is the only
-    // reason either shares at all. The donor is a lone query whose frontier
-    // answers the other — including when the donor's own target is
+    // Two queries that no exact key merges (different points and instants)
+    // share one interval group. The lead is a lone query whose frontier
+    // answers the other — including when the lead's own target is
     // unreachable (empty result, non-empty frontier).
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
@@ -256,95 +240,62 @@ fn warm_merged_singletons_donate_an_empty_frontier_delta() {
     let plan = srv.plan(&batch, false);
     assert_eq!(plan.searches(), 1, "two singletons must merge");
     assert_eq!(plan.shared_queries(), 2);
-    assert_pinned(&srv, &batch, "merged singleton donation");
+    assert_pinned(&srv, &batch, "merged singletons");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert_eq!(stats.warm_starts, 1, "{stats}");
-    assert_eq!(stats.seeded_labels + stats.seed_rejects, 1, "{stats}");
+    assert_eq!(stats.replayed + stats.retimed, 1, "{stats}");
 }
 
 #[test]
 fn warm_member_source_on_a_donated_settled_door_matches_per_query() {
-    // The seeded member starts bitwise on d18's position — a door the
-    // donor's sweep settles. Its replay sees a 0.0-length source leg onto a
+    // The 9:20 members start bitwise on d18's position — a door the lead's
+    // sweep settles. Their replay sees a 0.0-length source leg onto a
     // settled label; the answer must still be byte-for-byte per-query.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let on_door = IndoorPoint::new(ex.p3.partition, ex.space.door(ex.d(18)).position);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 0)),
-        Query::new(on_door, ex.p4, TimeOfDay::hm(9, 20)), // seeded, on-door
+        Query::new(on_door, ex.p4, TimeOfDay::hm(9, 20)),
         Query::new(on_door, ex.p1, TimeOfDay::hm(9, 20)),
     ];
     let plan = srv.plan(&batch, false);
     assert_eq!(plan.searches(), 1);
-    assert_pinned(&srv, &batch, "seeded source on settled door");
+    assert_pinned(&srv, &batch, "member source on a settled door");
     let got = srv.try_query_batch(&batch);
     assert!(result_found(&got[2]) && result_found(&got[3]));
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
+    assert_eq!(stats.replayed + stats.retimed, 3, "{stats}");
 }
 
 #[test]
 fn warm_earlier_departing_seeded_member_matches_per_query() {
-    // The donor (largest group) departs at 9:20; the seeded neighbors
-    // depart *earlier* at 9:05 — including one from the donor's own source
-    // point, which must not be retimed through the saturating-to-zero
-    // timestamp delta. Replay (whose windows use the member's own clock)
-    // or fallback must answer them, byte-for-byte.
+    // Three queries depart at 9:20 and two *earlier* at 9:05, submitted
+    // after them. The planner must rotate a 9:05 query into the lead slot,
+    // so the later p3 member is retimed by a non-negative shift and never
+    // through the saturating-to-zero timestamp delta; the others are
+    // replayed (or fall back), byte-for-byte.
     let ex = paper_example::build();
-    let srv = warm_server(&ex);
+    let srv = server(&ex, BatchStrategy::SharedInterval);
     let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
     let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
     let batch = vec![
         Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 20)),
         Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
         Query::new(far, ex.p1, TimeOfDay::hm(9, 20)),
-        Query::new(ex.p3, ex.p2, TimeOfDay::hm(9, 5)), // seeded, earlier, same pos as lead
+        Query::new(ex.p3, ex.p2, TimeOfDay::hm(9, 5)), // earliest, same point as slot 0
         Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
     ];
     let plan = srv.plan(&batch, false);
-    assert_eq!(plan.searches(), 1, "9:20 trio donates to the 9:05 pair");
-    assert_pinned(&srv, &batch, "earlier-departing seeded member");
+    assert_eq!(plan.searches(), 1, "9:05 and 9:20 share one interval group");
+    assert_pinned(&srv, &batch, "earlier-departing member");
     let (_, stats) = srv.query_batch_with_stats(&batch);
     assert!(stats.is_consistent(), "{stats}");
-    assert!(stats.warm_starts > 0, "{stats}");
-}
-
-#[test]
-fn warm_start_stats_are_identical_across_worker_counts() {
-    // The warm planner groups neighborhoods through an ordered map keyed by
-    // (partition, interval); this pin holds the whole non-timing report —
-    // including `warm_starts` and `seeded_labels` — equal between a serial
-    // and a 4-worker run of the same batch.
-    let ex = paper_example::build();
-    let elsewhere = IndoorPoint::new(ex.p3.partition, indoor_geom_point(1.0, 1.0));
-    let far = IndoorPoint::new(ex.p3.partition, indoor_geom_point(2.5, 0.5));
-    let batch = vec![
-        Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0)),
-        Query::new(elsewhere, ex.p2, TimeOfDay::hm(9, 20)),
-        Query::new(far, ex.p4, TimeOfDay::hm(9, 40)),
-        Query::new(ex.p1, ex.p2, TimeOfDay::hm(12, 0)),
-        Query::new(elsewhere, ex.p4, TimeOfDay::hm(9, 5)),
-    ];
-    let (r1, s1) = warm_server(&ex)
-        .with_pinned_workers(1)
-        .query_batch_with_stats(&batch);
-    let (r4, s4) = warm_server(&ex)
-        .with_pinned_workers(4)
-        .query_batch_with_stats(&batch);
-    assert!(s1.warm_starts > 0, "batch must exercise donation: {s1}");
-    assert_eq!(
-        s1.timings_zeroed(),
-        s4.timings_zeroed(),
-        "warm-start stats depend on worker count"
-    );
-    for (a, b) in r1.iter().zip(&r4) {
-        assert_eq!(a.path, b.path, "warm answers depend on worker count");
-    }
+    assert_eq!(stats.retimed, 1, "the 9:20 p3 query is retimed: {stats}");
+    assert_eq!(stats.replayed + stats.retimed, 4, "{stats}");
 }
 
 #[test]
@@ -354,11 +305,7 @@ fn plan_shape_is_a_pure_function_of_the_batch() {
     // hasher seed can reorder groups or rosters between processes.
     let ex = paper_example::build();
     let batch = mixed_batch(&ex);
-    for strategy in [
-        BatchStrategy::Shared,
-        BatchStrategy::SharedDoor,
-        BatchStrategy::SharedInterval,
-    ] {
+    for strategy in [BatchStrategy::Shared, BatchStrategy::SharedInterval] {
         let a = server(&ex, strategy).plan(&batch, false);
         let b = server(&ex, strategy).plan(&batch, false);
         assert_eq!(

@@ -1,10 +1,9 @@
 //! Property-based parity pin for the shared-execution batch engine.
 //!
 //! The tentpole claim of the server's sharing levels ([`BatchStrategy`]
-//! `Shared` / `SharedDoor` / `SharedInterval`) is that sharing is
-//! *invisible* in the answers: grouping queries — by identical (source
-//! point, departure time), by source partition, or by checkpoint interval —
-//! and answering each group from one multi-target frontier (verbatim,
+//! `Shared` / `SharedInterval`) is that sharing is *invisible* in the
+//! answers: grouping queries — by identical (source point, departure time),
+//! or by source partition and checkpoint interval — and answering each group from one multi-target frontier (verbatim,
 //! replayed against the member's own source legs, or retimed under the
 //! margin certificate) returns exactly what per-query execution returns —
 //! the same `Path` values bit for bit, the same "no such routes", the same
@@ -15,7 +14,7 @@
 //! These properties drive randomized venues (seeded ATIs on the tiny mall),
 //! zipf-like source skew (a tiny source pool with many duplicates),
 //! partition-clustered sources with second-granularity time jitter (the
-//! door/interval traffic shape, including night hours where doors seal and
+//! interval traffic shape, including night hours where doors seal and
 //! near-boundary departures that force certified fallbacks), batch sizes,
 //! worker counts, and injected malformed queries (NaN coordinates,
 //! unknown partitions), asserting byte-identity against the per-query
@@ -105,7 +104,7 @@ fn inject_malformed(batch: &mut [Query], seed: u64) {
 
 /// `per` random points in each of the first `parts` traversable polygon
 /// partitions: many *distinct* source points concentrated in few partitions —
-/// the batch shape door-level sharing exists for.
+/// the batch shape interval sharing exists for.
 fn partition_clustered_points(
     graph: &ItGraph,
     seed: u64,
@@ -204,17 +203,12 @@ fn sharing_server(
         method,
         strategy,
         itspq: ItspqConfig::full_relax().with_asyn_mode(mode),
-        ..ServerConfig::default()
     };
     VenueServer::with_config(graph.clone(), config)
 }
 
 /// Every sharing level, coarsest last.
-const LEVELS: [BatchStrategy; 3] = [
-    BatchStrategy::Shared,
-    BatchStrategy::SharedDoor,
-    BatchStrategy::SharedInterval,
-];
+const LEVELS: [BatchStrategy; 2] = [BatchStrategy::Shared, BatchStrategy::SharedInterval];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -354,7 +348,7 @@ proptest! {
         prop_assert!(stats.sharing_ratio() < 1.0);
     }
 
-    /// Door-level and interval sharing are byte-identical to per-query
+    /// Exact-key and interval sharing are byte-identical to per-query
     /// execution for every sharing level, every engine (ITG/S, ITG/A Exact,
     /// stateful ITG/A Faithful) and workers ∈ {1, 4}, on partition-clustered
     /// batches with jittered departures, sealed night doors and malformed
@@ -396,79 +390,33 @@ proptest! {
     }
 
     /// Every sharing level keeps the batch books balanced, and the whole
-    /// report — replays, retimes, fallbacks, views, warm-start seeding — is
-    /// independent of the worker count (phase timings, the one wall-clock
-    /// part, compared zeroed).
+    /// report — replays, retimes, fallbacks, views — is independent of the
+    /// worker count (phase timings, the one wall-clock part, compared
+    /// zeroed).
     #[test]
     fn leveled_stats_are_consistent_and_worker_independent(
         seed in 0u64..150,
         size in 4usize..20,
-        warm in any::<bool>(),
     ) {
         let (graph, pts) = venue_and_points(seed, 6);
         let cluster = partition_clustered_points(&graph, seed, 2, 3);
         prop_assert!(!cluster.is_empty());
         let batch = clustered_batch(&cluster, &pts, seed, size);
         for strategy in LEVELS {
-            let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, strategy)
-                .with_warm_start(warm);
-            let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4, strategy)
-                .with_warm_start(warm);
+            let one = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 1, strategy);
+            let four = sharing_server(&graph, ServeMethod::Asyn, AsynMode::Exact, 4, strategy);
             let (_, s1) = one.query_batch_with_stats(&batch);
             let (_, s4) = four.query_batch_with_stats(&batch);
             prop_assert!(
                 s1.is_consistent(),
-                "{:?} (warm {}) broke the accounting identity (seed {}): {}",
-                strategy, warm, seed, s1
+                "{:?} broke the accounting identity (seed {}): {}",
+                strategy, seed, s1
             );
             prop_assert_eq!(
                 s1.timings_zeroed(), s4.timings_zeroed(),
-                "stats depend on worker count under {:?} (warm {}, seed {})",
-                strategy, warm, seed
+                "stats depend on worker count under {:?} (seed {})",
+                strategy, seed
             );
-        }
-    }
-
-    /// Warm-start frontier donation is answer-invisible: with `warm_start`
-    /// enabled, door- and interval-level sharing stay byte-identical to
-    /// per-query execution for every engine (ITG/S, ITG/A Exact, stateful
-    /// ITG/A Faithful) and workers ∈ {1, 4}, on partition-clustered batches
-    /// with jittered departures, sealed night doors and malformed queries
-    /// (NaN source, unknown-partition target) mixed in.
-    #[test]
-    fn warm_start_sharing_matches_per_query(
-        seed in 0u64..150,
-        size in 2usize..18,
-        worker_sel in 0usize..2,
-    ) {
-        let workers = [1, 4][worker_sel];
-        let (graph, pts) = venue_and_points(seed, 6);
-        let cluster = partition_clustered_points(&graph, seed, 2, 3);
-        prop_assert!(!cluster.is_empty());
-        let mut batch = clustered_batch(&cluster, &pts, seed, size);
-        inject_malformed(&mut batch, seed);
-        for strategy in [BatchStrategy::SharedDoor, BatchStrategy::SharedInterval] {
-            for (method, mode) in [
-                (ServeMethod::Syn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Exact),
-                (ServeMethod::Asyn, AsynMode::Faithful),
-            ] {
-                let server = sharing_server(&graph, method, mode, workers, strategy)
-                    .with_warm_start(true);
-                let shared = server.try_query_batch(&batch);
-                prop_assert_eq!(shared.len(), batch.len());
-                for (i, (q, got)) in batch.iter().zip(&shared).enumerate() {
-                    let want = server.try_query(q);
-                    prop_assert_eq!(
-                        rendered(&got.as_ref().map(|r| &r.path)),
-                        rendered(&want.as_ref().map(|r| &r.path)),
-                        "warm {:?}/{:?}/{:?} w{} diverges at index {} (seed {}): \
-                         query {:?} got {} want {}",
-                        strategy, method, mode, workers, i, seed, q,
-                        outcome_kind(got), outcome_kind(&want)
-                    );
-                }
-            }
         }
     }
 }
