@@ -722,14 +722,12 @@ fn rotate_earliest_lead(queries: &[Query], roster: &mut [usize]) {
     roster.swap(0, lead);
 }
 
-/// Pooled planner state, reused across `plan` calls (see the satellite
-/// allocation-churn note in `ARCHITECTURE.md` §Shared execution): the
-/// grouping map and the per-group rosters. A `BTreeMap` keyed by the `Ord`
-/// plan key, so that if grouping ever iterates the map, the order is a pure
-/// function of the keys — never of hasher state. Guarded by a mutex so
-/// `plan` keeps taking `&self`; concurrent planners fall back to queueing on
-/// the lock (batches are planned one at a time per server in every entry
-/// point).
+/// Pooled planner state, reused across `plan` calls: the grouping map and
+/// the per-group rosters. A `BTreeMap` keyed by the `Ord` plan key, so that
+/// if grouping ever iterates the map, the order is a pure function of the
+/// keys — never of hasher state. Guarded by a mutex so `plan` keeps taking
+/// `&self`; concurrent planners fall back to queueing on the lock (batches
+/// are planned one at a time per server in every entry point).
 #[derive(Debug, Default)]
 struct PlanScratch {
     group_of: BTreeMap<PlanKey, usize>,
@@ -769,11 +767,19 @@ impl ScratchPool {
 /// Monotonic phase-timer reads for [`BatchStats`] attribution — the only
 /// wall-clock touches in core's library code, confined here and feeding
 /// telemetry only, never answers.
-struct PhaseTimer(std::time::Instant); // itspq-lint: allow(no-wall-clock-in-core, "monotonic phase timing for BatchStats telemetry; never feeds answers")
+#[expect(
+    clippy::disallowed_types,
+    reason = "monotonic phase timing for BatchStats telemetry; never feeds answers"
+)]
+struct PhaseTimer(std::time::Instant);
 
 impl PhaseTimer {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "monotonic phase timing for BatchStats telemetry; never feeds answers"
+    )]
     fn start() -> Self {
-        Self(std::time::Instant::now()) // itspq-lint: allow(no-wall-clock-in-core, "monotonic phase timing for BatchStats telemetry; never feeds answers")
+        Self(std::time::Instant::now())
     }
 
     fn elapsed_nanos(&self) -> u64 {

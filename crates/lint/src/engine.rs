@@ -1,23 +1,16 @@
 //! The driver: lint one source string, a set of in-memory files, or the
-//! whole workspace — with an optional incremental cache.
+//! whole workspace.
 //!
 //! Linting is two-phase:
 //!
 //! 1. **analyze** ([`analyze_source`]) — per file, pure: lex, parse the
 //!    item tree, run every token-layer rule, collect allow directives and
-//!    extract the function facts the graph layer needs. The result
-//!    ([`FileAnalysis`]) depends only on the file's bytes, which is what
-//!    makes it cacheable by content hash.
+//!    extract the function facts the graph layer needs ([`FileAnalysis`]).
 //! 2. **finish** ([`lint_files`] / [`lint_workspace`]) — once: aggregate
 //!    all facts into a [`Workspace`], run the graph-layer rules, then
 //!    suppress both layers' findings against the allows and flag the stale
 //!    ones. Suppression must come *after* the workspace pass — an allow for
 //!    a graph rule is only "used" once the graph has been consulted.
-//!
-//! The cache ([`lint_workspace_cached`]) keys each file by an FNV-1a hash
-//! of its contents and stores the full `FileAnalysis` — so a warm run
-//! re-lexes nothing and still replays the workspace pass exactly (facts
-//! from unchanged files are as good as fresh ones).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -30,10 +23,6 @@ use crate::graph::{extract_facts, FnFact, Workspace};
 use crate::parser::parse;
 use crate::rules::{all_rules, is_known_rule, workspace_rules};
 use crate::source::{classify, FileCtx, FileView};
-
-mod cache;
-
-pub use cache::CacheStats;
 
 /// Directory names never descended into. `fixtures` holds the linter's own
 /// known-bad corpus; `target` and `results` are build/bench artefacts;
@@ -48,13 +37,11 @@ const SKIP_DIRS: &[&str] = &[
 ];
 
 /// Everything phase 1 learns about one file. Pure function of the file's
-/// bytes (plus its path classification), hence cacheable.
+/// bytes (plus its path classification).
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Classification of the file.
     pub ctx: FileCtx,
-    /// FNV-1a hash of the source bytes.
-    pub hash: u64,
     /// Raw token-layer findings, pre-suppression.
     pub raw: Vec<Diagnostic>,
     /// Well-formed allow directives.
@@ -106,17 +93,6 @@ impl Report {
     }
 }
 
-/// FNV-1a over the source bytes — the cache key.
-#[must_use]
-pub fn fnv1a(src: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in src.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Phase 1: analyzes one source string under an explicit classification.
 #[must_use]
 pub fn analyze_source(ctx: &FileCtx, src: &str) -> FileAnalysis {
@@ -145,7 +121,6 @@ pub fn analyze_source(ctx: &FileCtx, src: &str) -> FileAnalysis {
     let fns = extract_facts(&view, &tree, &allows);
     FileAnalysis {
         ctx: ctx.clone(),
-        hash: fnv1a(src),
         raw,
         allows,
         allow_errors,
@@ -262,51 +237,7 @@ pub fn lint_files(files: &[(FileCtx, String)]) -> Report {
 /// Propagates I/O errors from the directory walk; unreadable individual
 /// files are skipped (the build would have failed on them first).
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    lint_workspace_cached(root, None).map(|(r, _)| r)
-}
-
-/// [`lint_workspace`] with an incremental cache: analyses of files whose
-/// content hash matches the cache are reused without re-lexing; the cache
-/// file is rewritten after the run. A missing, stale-versioned or corrupt
-/// cache degrades to a cold run — never to an error.
-///
-/// # Errors
-/// Propagates I/O errors from the directory walk (not from the cache).
-pub fn lint_workspace_cached(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> io::Result<(Report, CacheStats)> {
-    let mut files = Vec::new();
-    walk(root, &mut files)?;
-    files.sort();
-
-    let cached = cache_path.map(cache::load).unwrap_or_default();
-    let mut stats = CacheStats::default();
-    let mut analyses = Vec::with_capacity(files.len());
-    for path in files {
-        let Ok(src) = fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let hash = fnv1a(&src);
-        if let Some(hit) = cached.get(&rel).filter(|c| c.hash == hash) {
-            stats.hits += 1;
-            analyses.push(hit.clone());
-        } else {
-            stats.misses += 1;
-            analyses.push(analyze_source(&classify(&rel), &src));
-        }
-    }
-    if let Some(p) = cache_path {
-        // Best-effort: an unwritable cache costs the next run its warmth,
-        // nothing else.
-        let _ = cache::store(p, &analyses);
-    }
-    Ok((finish(&analyses).0, stats))
+    Ok(lint_files(&read_workspace(root)?))
 }
 
 /// One allow directive with its workspace location and whether it fired on
@@ -349,6 +280,24 @@ pub fn audit_allows(files: &[(FileCtx, String)]) -> Vec<AllowAudit> {
 /// # Errors
 /// Propagates I/O errors from the directory walk.
 pub fn audit_workspace_allows(root: &Path) -> io::Result<Vec<AllowAudit>> {
+    Ok(audit_allows(&read_workspace(root)?))
+}
+
+/// Walks `root` and returns every well-formed allow directive as
+/// `(workspace-relative path, allow)` pairs, in file order.
+///
+/// # Errors
+/// Propagates I/O errors from the directory walk.
+pub fn collect_workspace_allows(root: &Path) -> io::Result<Vec<(String, Allow)>> {
+    Ok(audit_workspace_allows(root)?
+        .into_iter()
+        .map(|a| (a.path, a.allow))
+        .collect())
+}
+
+/// Reads every `.rs` file under `root`, in path order, classified by its
+/// workspace-relative path. Unreadable files are skipped.
+fn read_workspace(root: &Path) -> io::Result<Vec<(FileCtx, String)>> {
     let mut paths = Vec::new();
     walk(root, &mut paths)?;
     paths.sort();
@@ -364,19 +313,7 @@ pub fn audit_workspace_allows(root: &Path) -> io::Result<Vec<AllowAudit>> {
             .replace('\\', "/");
         files.push((classify(&rel), src));
     }
-    Ok(audit_allows(&files))
-}
-
-/// Walks `root` and returns every well-formed allow directive as
-/// `(workspace-relative path, allow)` pairs, in file order.
-///
-/// # Errors
-/// Propagates I/O errors from the directory walk.
-pub fn collect_workspace_allows(root: &Path) -> io::Result<Vec<(String, Allow)>> {
-    Ok(audit_workspace_allows(root)?
-        .into_iter()
-        .map(|a| (a.path, a.allow))
-        .collect())
+    Ok(files)
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -3,7 +3,9 @@
 //! A self-contained lexical analysis pass that enforces the invariants the
 //! serving roadmap depends on: library code that cannot panic a worker pool,
 //! float orderings that survive NaN, lock guards that never straddle a
-//! cache build, scoped threads, and wall-clock-free algorithm code.
+//! cache build, and deterministic iteration and float arithmetic on the
+//! answer path. The thread and wall-clock bans live in clippy configuration
+//! (the root `clippy.toml` and `crates/core/clippy.toml`), not here.
 //!
 //! ## Pipeline
 //!
@@ -22,9 +24,7 @@
 //! 6. [`allow`] parses `// itspq-lint: allow(<rule>, "<justification>")`
 //!    directives — themselves checked: no justification, unknown rule or a
 //!    stale (unused) allow is an `allow-discipline` error;
-//! 7. [`engine`] suppresses, aggregates into a workspace [`Report`], and
-//!    optionally caches per-file analyses by content hash so warm runs
-//!    re-lex nothing.
+//! 7. [`engine`] suppresses and aggregates into a workspace [`Report`].
 //!
 //! ## Rules
 //!
@@ -35,8 +35,6 @@
 //! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`-family in library code of the algorithm crates |
 //! | `float-total-order` | no `partial_cmp(..).unwrap()` chains, no `==`/`!=` against float literals |
 //! | `lock-scope` | no `let`-bound lock guard living across a cache-build or closure call |
-//! | `scoped-threads-only` | no `std::thread::spawn` outside `crates/bench` |
-//! | `no-wall-clock-in-core` | no `Instant`/`SystemTime` in `crates/core` library code |
 //! | `nondet-iteration` | no `HashMap`/`HashSet` iteration in parity-critical modules |
 //! | `float-determinism` | no `mul_add`, `partial_cmp` comparators or unordered float sums there |
 //!
@@ -65,7 +63,7 @@ pub use allow::{collect_allows, Allow, ALLOW_RULE};
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
     audit_allows, audit_workspace_allows, collect_workspace_allows, lint_files, lint_source,
-    lint_workspace, lint_workspace_cached, AllowAudit, CacheStats, FileOutcome, Report,
+    lint_workspace, AllowAudit, FileOutcome, Report,
 };
 pub use graph::{extract_facts, FnFact, Workspace};
 pub use lexer::{lex, Token, TokenKind};

@@ -1,7 +1,7 @@
 //! The `itspq-lint` CLI.
 //!
 //! ```text
-//! itspq-lint [ROOT] [--deny] [--budget-secs N] [--emit json] [--cache PATH]
+//! itspq-lint [ROOT] [--deny] [--budget-secs N] [--emit json]
 //!            [--list-rules] [--list-allows]
 //! ```
 //!
@@ -10,13 +10,10 @@
 //!   is the CI mode.
 //! * `--budget-secs N` — fail (exit 2) if the whole run takes longer than
 //!   `N` seconds; CI pins the workspace pass under 5 s so the linter can
-//!   never become the slow job.
+//!   never become the slow job. `N` must be finite and non-negative.
 //! * `--emit json` — print one machine-readable JSON object to stdout
-//!   (diagnostics, counters, elapsed time, cache hits/misses); the human
-//!   summary moves to stderr. CI archives this as a build artifact.
-//! * `--cache PATH` — incremental cache file: analyses of files whose
-//!   content hash is unchanged are reused, and the cache is rewritten after
-//!   the run. A missing or stale cache just means a cold run.
+//!   (diagnostics, counters, elapsed time); the human summary moves to
+//!   stderr. CI archives this as a build artifact.
 //! * `--list-rules` — print the rule catalogue (both layers) and exit.
 //! * `--list-allows` — print the suppression inventory with a staleness
 //!   audit: every justified allow with its location, justification, and
@@ -31,9 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use itspq_lint::diag::json_escape;
-use itspq_lint::{
-    all_rules, audit_workspace_allows, lint_workspace_cached, workspace_rules, CacheStats, Report,
-};
+use itspq_lint::{all_rules, audit_workspace_allows, lint_workspace, workspace_rules, Report};
 
 #[derive(PartialEq)]
 enum Emit {
@@ -46,7 +41,6 @@ struct Args {
     deny: bool,
     budget_secs: Option<f64>,
     emit: Emit,
-    cache: Option<PathBuf>,
     list_rules: bool,
     list_allows: bool,
 }
@@ -57,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         deny: false,
         budget_secs: None,
         emit: Emit::Text,
-        cache: None,
         list_rules: false,
         list_allows: false,
     };
@@ -71,9 +64,15 @@ fn parse_args() -> Result<Args, String> {
                 let v = it
                     .next()
                     .ok_or_else(|| "--budget-secs needs a value".to_string())?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("invalid --budget-secs value `{v}`"))?;
+                // `elapsed > NaN` is always false, so a NaN budget would
+                // silently disable the check; a negative one fails every run.
+                let secs = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|s| s.is_finite() && *s >= 0.0)
+                    .ok_or_else(|| {
+                        format!("invalid --budget-secs value `{v}` (a finite number ≥ 0)")
+                    })?;
                 args.budget_secs = Some(secs);
             }
             "--emit" => {
@@ -86,16 +85,10 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown --emit format `{other}` (json|text)")),
                 };
             }
-            "--cache" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--cache needs a path".to_string())?;
-                args.cache = Some(PathBuf::from(v));
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: itspq-lint [ROOT] [--deny] [--budget-secs N] [--emit json] \
-                     [--cache PATH] [--list-rules] [--list-allows]"
+                     [--list-rules] [--list-allows]"
                         .to_string(),
                 )
             }
@@ -106,7 +99,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn render_json(report: &Report, elapsed: f64, cache: CacheStats) -> String {
+fn render_json(report: &Report, elapsed: f64) -> String {
     let mut out = String::from("{\n  \"diagnostics\": [");
     for (i, d) in report.diagnostics.iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -117,8 +110,8 @@ fn render_json(report: &Report, elapsed: f64, cache: CacheStats) -> String {
     }
     out.push_str(&format!(
         "],\n  \"files\": {},\n  \"suppressed\": {},\n  \"allows_used\": {},\n  \
-         \"elapsed_secs\": {elapsed:.4},\n  \"cache\": {{\"hits\": {}, \"misses\": {}}}\n}}",
-        report.files, report.suppressed, report.allows_used, cache.hits, cache.misses,
+         \"elapsed_secs\": {elapsed:.4}\n}}",
+        report.files, report.suppressed, report.allows_used,
     ));
     out
 }
@@ -185,7 +178,7 @@ fn main() -> ExitCode {
     }
 
     let start = Instant::now();
-    let (report, cache) = match lint_workspace_cached(&args.root, args.cache.as_deref()) {
+    let report = match lint_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("itspq-lint: cannot scan {}: {e}", args.root.display());
@@ -195,17 +188,15 @@ fn main() -> ExitCode {
     let elapsed = start.elapsed().as_secs_f64();
 
     if args.emit == Emit::Json {
-        println!("{}", render_json(&report, elapsed, cache));
+        println!("{}", render_json(&report, elapsed));
     } else {
         for d in &report.diagnostics {
             println!("{d}");
         }
     }
     let summary = format!(
-        "itspq-lint: {} files ({} cached), {} diagnostic{} ({} suppressed by {} justified \
-         allow{}), {:.2}s",
+        "itspq-lint: {} files, {} diagnostic{} ({} suppressed by {} justified allow{}), {:.2}s",
         report.files,
-        cache.hits,
         report.diagnostics.len(),
         if report.diagnostics.len() == 1 {
             ""

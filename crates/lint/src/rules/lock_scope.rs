@@ -1,10 +1,14 @@
 //! `lock-scope`: lock guards must not live across expensive or re-entrant
 //! calls.
 //!
-//! This machine-checks the view-cache rule from the `AsynEngine` work: a
-//! `parking_lot` guard held across `ReducedGraph::build` (or any
-//! user-supplied closure) serialises every worker behind one build — or
-//! self-deadlocks when the callee takes the same lock. The blessed shapes
+//! The locks left in the serving path are the `ScratchPool` mutexes in
+//! `crates/core/src/server.rs`: the planner's pooled grouping state and the
+//! stack of per-worker scratch buffers that every batch worker checks out
+//! and returns. A `parking_lot` guard on one of them held across an
+//! expensive build (or any user-supplied closure) serialises every worker
+//! behind that call — or self-deadlocks when the callee takes the same
+//! lock. The ITG/A views take no lock at all (`OnceLock` slots), and this
+//! rule keeps a future cache from reintroducing the hazard. The blessed shapes
 //! are (a) a guard as a *temporary* that dies at the end of its statement
 //! (`self.cache.read().get(&k).cloned()`), or (b) a `let`-bound guard in a
 //! minimal block that ends before any build/closure call.

@@ -24,20 +24,16 @@ mod float_total_order;
 mod lock_order;
 mod lock_scope;
 mod no_panic_in_lib;
-mod no_wall_clock_in_core;
 mod nondet_iteration;
 mod panic_reachability;
-mod scoped_threads_only;
 
 pub use float_determinism::FloatDeterminism;
 pub use float_total_order::FloatTotalOrder;
 pub use lock_order::LockOrder;
 pub use lock_scope::LockScope;
 pub use no_panic_in_lib::NoPanicInLib;
-pub use no_wall_clock_in_core::NoWallClockInCore;
 pub use nondet_iteration::NondetIteration;
 pub use panic_reachability::PanicReachability;
-pub use scoped_threads_only::ScopedThreadsOnly;
 
 /// A per-file (token-layer) lint rule.
 pub trait Rule {
@@ -66,8 +62,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoPanicInLib),
         Box::new(FloatTotalOrder),
         Box::new(LockScope),
-        Box::new(ScopedThreadsOnly),
-        Box::new(NoWallClockInCore),
         Box::new(NondetIteration),
         Box::new(FloatDeterminism),
     ]
@@ -83,28 +77,8 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
 /// `allow-discipline` meta-rule is deliberately *not* allowable.
 #[must_use]
 pub fn is_known_rule(name: &str) -> bool {
-    name != crate::allow::ALLOW_RULE && static_rule_name(name).is_some()
-}
-
-/// Maps a rule name to its `&'static str` identity — the full catalogue,
-/// both layers plus the allow-discipline meta-rule. Used by the incremental
-/// cache to restore static rule names from parsed text.
-#[must_use]
-pub fn static_rule_name(name: &str) -> Option<&'static str> {
-    for r in all_rules() {
-        if r.name() == name {
-            return Some(r.name());
-        }
-    }
-    for r in workspace_rules() {
-        if r.name() == name {
-            return Some(r.name());
-        }
-    }
-    if name == crate::allow::ALLOW_RULE {
-        return Some(crate::allow::ALLOW_RULE);
-    }
-    None
+    all_rules().iter().any(|r| r.name() == name)
+        || workspace_rules().iter().any(|r| r.name() == name)
 }
 
 /// Shared constructor for rule findings.

@@ -93,34 +93,6 @@ fn bad_lock_flags_guard_across_build() {
 }
 
 #[test]
-fn bad_thread_flags_detached_spawn_except_in_bench() {
-    let src = include_str!("fixtures/bad_thread.rs");
-    let out = lint_as("crates/indoor-space/src/bad_thread.rs", src);
-    assert_eq!(rules(&out), vec!["scoped-threads-only"]);
-    // The bench crate keeps its harness freedom.
-    assert!(lint_as("crates/bench/src/bad_thread.rs", src)
-        .diagnostics
-        .is_empty());
-}
-
-#[test]
-fn bad_clock_flags_core_only() {
-    let src = include_str!("fixtures/bad_clock.rs");
-    let out = lint_as("crates/core/src/bad_clock.rs", src);
-    let clock_findings = out
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "no-wall-clock-in-core")
-        .count();
-    // `Instant` appears twice (import + use), `SystemTime` once.
-    assert_eq!(clock_findings, 3);
-    // Outside crates/core the same source is fine (bench measures time).
-    assert!(lint_as("crates/bench/src/bad_clock.rs", src)
-        .diagnostics
-        .is_empty());
-}
-
-#[test]
 fn bad_allows_are_themselves_findings() {
     let out = lint_as(
         "crates/core/src/bad_allows.rs",
