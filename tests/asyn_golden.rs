@@ -1,20 +1,24 @@
-//! Golden pin of ITG/A's per-query answers and paper-facing stats.
+//! Golden pin of ITG/A's and ITG/S's per-query answers and search stats.
 //!
 //! Fifty fixed queries on the paper's 5-floor mall (|T| = 8), half of them
 //! departing one to five minutes before a checkpoint so their walks cross
-//! it, run under both `AsynMode`s and both `ExpandPolicy`s. Each line of
+//! it, run under both `AsynMode`s and both `ExpandPolicy`s, and through
+//! ITG/S under both `ExpandPolicy`s. Each line of
 //! `tests/golden/asyn_stats.txt` records one answer: its length and door
 //! sequence, `graph_updates` (how often `Asyn_Check` refreshed the current
-//! view — `Faithful`'s advancing cursor) and `reduced_graph_bytes` (the
-//! Figure 7 memory term). Any change to how ITG/A stores or hands out its
-//! reduced views must leave every line byte-identical.
+//! view — `Faithful`'s advancing cursor), `reduced_graph_bytes` (the
+//! Figure 7 memory term) and the search counters (heap pushes and pops,
+//! settled doors, expanded partitions, relaxations, improvements, `TV_Check`
+//! calls and rejections, `search_bytes`). Any change to how ITG/A stores or
+//! hands out its reduced views, or to how Algorithm 1's loop is organised,
+//! must leave every line byte-identical.
 //!
 //! After an intended semantic change, regenerate the file with
 //! `ITSPQ_BLESS_GOLDEN=1 cargo test --test asyn_golden` and review the diff.
 
 use std::fmt::Write as _;
 
-use itspq_repro::core::AsynMode;
+use itspq_repro::core::{AsynMode, QueryResult};
 use itspq_repro::prelude::*;
 use itspq_repro::synthetic::{
     build_mall, generate_queries, HoursConfig, MallConfig, QueryGenConfig, ShopHours,
@@ -49,36 +53,63 @@ fn queries(graph: &ItGraph) -> Vec<Query> {
     .collect()
 }
 
+/// One golden line: the answer plus every search counter that does not
+/// depend on timing or on what earlier queries left behind.
+fn write_line(out: &mut String, row: &str, i: usize, q: &Query, res: &QueryResult) {
+    let answer = match &res.path {
+        Some(p) => {
+            let doors: Vec<String> = p.doors().map(|d| d.index().to_string()).collect();
+            format!("len={:.6} doors={}", p.length, doors.join(","))
+        }
+        None => "no-route".to_owned(),
+    };
+    let s = &res.stats;
+    writeln!(
+        out,
+        "{row} q{i:02} t={} {answer} updates={} view_bytes={} pushes={} pops={} settled={} \
+         expanded={} relax={} improved={} tv_checks={} tv_rejects={} search_bytes={}",
+        q.time,
+        s.graph_updates,
+        s.reduced_graph_bytes,
+        s.heap_pushes,
+        s.heap_pops,
+        s.doors_settled,
+        s.partitions_expanded,
+        s.relaxations,
+        s.improvements,
+        s.tv_checks,
+        s.tv_rejections,
+        s.search_bytes,
+    )
+    .expect("writing to a String cannot fail");
+}
+
 fn render() -> String {
     let hours = ShopHours::sample(&HoursConfig::paper_default());
     let graph = ItGraph::shared(build_mall(&MallConfig::paper_default(), &hours));
     let qs = queries(&graph);
+    let expands = [
+        ("pruned", ExpandPolicy::PaperPruned),
+        ("full", ExpandPolicy::FullRelax),
+    ];
     let mut out = String::new();
     for (mode_name, mode) in [("faithful", AsynMode::Faithful), ("exact", AsynMode::Exact)] {
-        for (expand_name, expand) in [
-            ("pruned", ExpandPolicy::PaperPruned),
-            ("full", ExpandPolicy::FullRelax),
-        ] {
+        for (expand_name, expand) in expands {
             let config = ItspqConfig::default()
                 .with_asyn_mode(mode)
                 .with_expand(expand);
             let engine = AsynEngine::new(graph.clone(), config);
+            let row = format!("{mode_name}/{expand_name}");
             for (i, q) in qs.iter().enumerate() {
-                let res = engine.query(q);
-                let answer = match &res.path {
-                    Some(p) => {
-                        let doors: Vec<String> = p.doors().map(|d| d.index().to_string()).collect();
-                        format!("len={:.6} doors={}", p.length, doors.join(","))
-                    }
-                    None => "no-route".to_owned(),
-                };
-                writeln!(
-                    out,
-                    "{mode_name}/{expand_name} q{i:02} t={} {answer} updates={} view_bytes={}",
-                    q.time, res.stats.graph_updates, res.stats.reduced_graph_bytes
-                )
-                .expect("writing to a String cannot fail");
+                write_line(&mut out, &row, i, q, &engine.query(q));
             }
+        }
+    }
+    for (expand_name, expand) in expands {
+        let engine = SynEngine::new(graph.clone(), ItspqConfig::default().with_expand(expand));
+        let row = format!("syn/{expand_name}");
+        for (i, q) in qs.iter().enumerate() {
+            write_line(&mut out, &row, i, q, &engine.query(q));
         }
     }
     out
@@ -113,16 +144,18 @@ fn golden_covers_checkpoint_crossings_and_view_switches() {
             .expect("every golden line has updates=");
         if line.starts_with("faithful/") {
             faithful_updates += usize::from(updates > 0);
-        } else {
+        } else if line.starts_with("exact/") {
             exact_updates += usize::from(updates > 0);
+        } else {
+            assert_eq!(updates, 0, "ITG/S never updates a view: {line}");
         }
         routes += usize::from(!line.contains("no-route"));
     }
-    assert_eq!(GOLDEN.lines().count(), 200);
+    assert_eq!(GOLDEN.lines().count(), 300);
     assert!(
         faithful_updates >= 10,
         "{faithful_updates} Faithful crossings"
     );
     assert!(exact_updates >= 10, "{exact_updates} Exact view switches");
-    assert!(routes >= 100, "{routes} routed answers");
+    assert!(routes >= 150, "{routes} routed answers");
 }
