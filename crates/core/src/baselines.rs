@@ -15,7 +15,7 @@
 use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::Timestamp;
 
-use crate::framework::{run_search, TvChecker};
+use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::heap::{MinHeap, Node};
 use crate::{DoorHop, ItGraph, ItspqConfig, Path, Query, QueryResult, SearchStats};
 
@@ -57,22 +57,40 @@ impl TvChecker for SnapshotChecker<'_> {
 /// Shortest path ignoring temporal variations entirely.
 #[must_use]
 pub fn static_shortest_path(graph: &ItGraph, query: &Query, config: &ItspqConfig) -> QueryResult {
-    let mut checker = StaticChecker {
+    let checker = StaticChecker {
         space: graph.space(),
     };
-    let (path, stats) = run_search(graph, query, config, &mut checker);
-    QueryResult { path, stats }
+    search_one(graph, query, config, checker)
 }
 
 /// Shortest path on the topology frozen at the query time (doors keep their
 /// state at `t` for the whole walk).
 #[must_use]
 pub fn snapshot_shortest_path(graph: &ItGraph, query: &Query, config: &ItspqConfig) -> QueryResult {
-    let mut checker = SnapshotChecker {
+    let checker = SnapshotChecker {
         space: graph.space(),
         t: query.time,
     };
-    let (path, stats) = run_search(graph, query, config, &mut checker);
+    search_one(graph, query, config, checker)
+}
+
+/// Algorithm 1 under `checker`: the sweep with the query's one target.
+fn search_one<C: TvChecker>(
+    graph: &ItGraph,
+    query: &Query,
+    config: &ItspqConfig,
+    mut checker: C,
+) -> QueryResult {
+    let (mut paths, stats) = run_search_targets(
+        graph,
+        &query.source,
+        query.time,
+        &[query.target],
+        config,
+        &mut checker,
+        &mut SweepObserver::off(),
+    );
+    let path = paths.pop().flatten();
     QueryResult { path, stats }
 }
 

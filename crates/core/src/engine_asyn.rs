@@ -41,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
 
-use crate::framework::{run_search, run_search_targets, SweepObserver, TvChecker};
+use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::{
     AsynMode, ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, ReducedGraph, SearchStats,
 };
@@ -146,10 +146,13 @@ impl AsynEngine {
     /// Answers `ITSPQ(ps, pt, t)`.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
-        let mut stats0 = SearchStats::default();
-        let mut checker = AsynChecker::new(self, query.time, &mut stats0);
-        let (path, mut stats) = run_search(&self.graph, query, &self.config, &mut checker);
-        stats.views_built += stats0.views_built;
+        let (mut paths, stats) = self.query_targets(
+            &query.source,
+            query.time,
+            &[query.target],
+            &mut SweepObserver::off(),
+        );
+        let path = paths.pop().flatten();
         QueryResult { path, stats }
     }
 
@@ -163,12 +166,13 @@ impl AsynEngine {
         Ok(self.query(query))
     }
 
-    /// Answers a whole group of targets from one source with a single shared
-    /// search frontier — the checker (including a `Faithful` cursor) evolves
-    /// through the same door-relaxation sequence as each per-target
-    /// [`query`], so answers are byte-identical under the preconditions of
-    /// [`run_search_targets`] (FullRelax config, traversable-or-source target
-    /// partitions).
+    /// Answers `targets` from one source with one search frontier; every
+    /// search of this engine runs here, [`query`] with a single target.
+    /// With two or more targets the checker (including a `Faithful` cursor)
+    /// evolves through the same door-relaxation sequence as each per-target
+    /// [`query`], so answers are byte-identical when callers uphold the
+    /// sharing preconditions of [`run_search_targets`] (FullRelax config,
+    /// traversable-or-source target partitions).
     ///
     /// [`query`]: AsynEngine::query
     pub(crate) fn query_targets(

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp, Velocity};
 
-use crate::framework::{run_search, run_search_targets, SweepObserver, TvChecker};
+use crate::framework::{run_search_targets, SweepObserver, TvChecker};
 use crate::{ItGraph, ItspqConfig, Path, Query, QueryError, QueryResult, SearchStats};
 
 /// `Syn_Check` (Algorithm 2): look up the door's ATIs at the arrival time
@@ -106,12 +106,13 @@ impl SynEngine {
     /// Answers `ITSPQ(ps, pt, t)`.
     #[must_use]
     pub fn query(&self, query: &Query) -> QueryResult {
-        let mut checker = SynChecker {
-            space: self.graph.space(),
-            velocity: self.config.velocity,
-            t0: query.departure(),
-        };
-        let (path, stats) = run_search(&self.graph, query, &self.config, &mut checker);
+        let (mut paths, stats) = self.query_targets(
+            &query.source,
+            query.time,
+            &[query.target],
+            &mut SweepObserver::off(),
+        );
+        let path = paths.pop().flatten();
         QueryResult { path, stats }
     }
 
@@ -125,11 +126,12 @@ impl SynEngine {
         Ok(self.query(query))
     }
 
-    /// Answers a whole group of targets from one source with a single shared
-    /// search frontier. Callers must uphold the preconditions of
+    /// Answers `targets` from one source with one search frontier; every
+    /// search of this engine runs here, [`query`] with a single target.
+    /// With two or more targets, callers uphold the sharing preconditions of
     /// [`run_search_targets`] (FullRelax config, traversable-or-source target
-    /// partitions); results are then byte-identical to per-target [`query`]
-    /// calls.
+    /// partitions), and each answer is then byte-identical to its own
+    /// [`query`] call.
     ///
     /// [`query`]: SynEngine::query
     pub(crate) fn query_targets(
@@ -252,6 +254,7 @@ mod tests {
         let s = res.stats;
         assert!(s.heap_pushes > 0);
         assert!(s.heap_pops > 0);
+        assert!(0 < s.peak_heap && s.peak_heap <= s.heap_pushes);
         assert!(s.tv_checks >= s.tv_rejections);
         assert!(s.search_bytes > 0);
         assert_eq!(s.graph_updates, 0); // ITG/S never updates graphs

@@ -5,6 +5,12 @@
 //! [`TvChecker`]: the synchronous check of Algorithm 2 (ITG/S) or the
 //! asynchronous reduced-graph check of Algorithm 4 (ITG/A).
 //!
+//! [`run_search_targets`] is the one implementation of the algorithm's
+//! loop. It carries a set of targets on one frontier: a per-query search is
+//! the sweep with one target, and a shared batch group is the same sweep
+//! with many. A [`SweepObserver`] optionally records the sweep's decisions
+//! for the batch engine's replay and retime certificates.
+//!
 //! Two deliberate deviations from the paper's pseudo-code, neither affecting
 //! results (see `ARCHITECTURE.md` § *Semantic gaps*):
 //!
@@ -19,7 +25,7 @@ use indoor_space::{DoorId, IndoorPoint, IndoorSpace, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp};
 
 use crate::heap::{MinHeap, Node};
-use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, Query, SearchStats};
+use crate::{DoorHop, ExpandPolicy, ItGraph, ItspqConfig, Path, SearchStats};
 
 /// The pluggable temporal-variation strategy: a topology view plus `TV_Check`.
 pub(crate) trait TvChecker {
@@ -148,11 +154,7 @@ pub(crate) struct SweepObserver {
 impl SweepObserver {
     /// An inert observer: records nothing, tracks nothing.
     pub(crate) fn off() -> Self {
-        Self::new(false, false)
-    }
-
-    pub(crate) fn new(record: bool, track_margin: bool) -> Self {
-        Self::with_trace(record, track_margin, Trace::default(), 0)
+        Self::with_trace(false, false, Trace::default(), 0)
     }
 
     /// An observer writing into a caller-owned (typically pooled) trace
@@ -204,11 +206,8 @@ struct SearchState {
     prev: Vec<Option<PrevEntry>>,
     settled: Vec<bool>,
     visited_parts: Vec<bool>,
-    enters_target: Vec<bool>,
     heap: MinHeap,
     scratch: Vec<DoorId>,
-    target_dist: f64,
-    target_prev: Option<u32>,
     /// Distinct doors whose tentative distance left ∞ — the populated part of
     /// the search state, which is what a map-based implementation (like the
     /// paper's Java one) would actually hold.
@@ -216,22 +215,15 @@ struct SearchState {
 }
 
 impl SearchState {
-    fn new(space: &IndoorSpace, target_partition: PartitionId) -> Self {
+    fn new(space: &IndoorSpace) -> Self {
         let n = space.num_doors();
-        let mut enters_target = vec![false; n];
-        for &d in space.p2d_enterable(target_partition) {
-            enters_target[d.index()] = true;
-        }
         SearchState {
             dist: vec![f64::INFINITY; n],
             prev: vec![None; n],
             settled: vec![false; n],
             visited_parts: vec![false; space.num_partitions()],
-            enters_target,
             heap: MinHeap::new(),
             scratch: Vec::new(),
-            target_dist: f64::INFINITY,
-            target_prev: None,
             touched_doors: 0,
         }
     }
@@ -248,161 +240,6 @@ impl SearchState {
             + self.heap.peak() * std::mem::size_of::<crate::heap::Entry>()
             + self.scratch.capacity() * std::mem::size_of::<DoorId>()
     }
-}
-
-/// Runs Algorithm 1 and reconstructs the path (lines 11–17).
-pub(crate) fn run_search<C: TvChecker>(
-    graph: &ItGraph,
-    query: &Query,
-    config: &ItspqConfig,
-    checker: &mut C,
-) -> (Option<Path>, SearchStats) {
-    let space = graph.space();
-    let mut stats = SearchStats::default();
-    let t0 = query.departure();
-    let src_p = query.source.partition;
-    let dst_p = query.target.partition;
-
-    // Both endpoints in one partition: the straight segment is valid (no door
-    // is crossed) and, partitions being decomposed into near-convex cells,
-    // shortest.
-    if src_p == dst_p {
-        let length = query.source.position.distance(query.target.position);
-        checker.account(&mut stats);
-        let path = Path {
-            source: query.source,
-            target: query.target,
-            hops: Vec::new(),
-            length,
-            departure: t0,
-            arrival: t0 + config.velocity.travel_time(length),
-        };
-        return (Some(path), stats);
-    }
-
-    let mut st = SearchState::new(space, dst_p);
-    let mut observer = SweepObserver::off();
-
-    // Rule 2: private partitions may be traversed only if they contain ps/pt.
-    let allowed = |v: PartitionId| -> bool {
-        v == src_p || v == dst_p || space.partition(v).kind.traversable()
-    };
-
-    // Source expansion: Algorithm 1 with di = ps, v = P(ps).
-    st.visited_parts[src_p.index()] = true;
-    stats.partitions_expanded += 1;
-    expand_partition(
-        space,
-        config,
-        &query.source,
-        checker,
-        &mut st,
-        &mut stats,
-        src_p,
-        None,
-        0.0,
-        &allowed,
-        t0,
-        &mut observer,
-    );
-
-    while let Some(entry) = st.heap.pop() {
-        stats.heap_pops += 1;
-        let di = match entry.node {
-            Node::Target(_) => {
-                if entry.dist > st.target_dist {
-                    continue; // stale: the target improved after this push
-                }
-                // `reconstruct` is `None` only on a broken predecessor
-                // invariant; degrade to "no such routes" rather than panic.
-                let path = reconstruct(
-                    &query.source,
-                    &query.target,
-                    config,
-                    &st.dist,
-                    &st.prev,
-                    st.target_dist,
-                    st.target_prev,
-                    t0,
-                );
-                stats.search_bytes = st.search_bytes();
-                checker.account(&mut stats);
-                return (path, stats);
-            }
-            Node::Door(i) => i,
-        };
-        if st.settled[di as usize] {
-            continue; // stale heap entry
-        }
-        st.settled[di as usize] = true;
-        stats.doors_settled += 1;
-        let door = DoorId(di);
-        let d_di = st.dist[di as usize];
-
-        // Lines 20–24: a door that can enter P(pt) relaxes pt directly …
-        if st.enters_target[di as usize] {
-            if let Some(pd) = space.point_to_door(&query.target, door) {
-                let cand = d_di + pd;
-                if cand < st.target_dist {
-                    st.target_dist = cand;
-                    st.target_prev = Some(di);
-                    st.heap.push(cand, Node::Target(0));
-                    stats.heap_pushes += 1;
-                }
-            }
-            // … and, in the paper's reading, is not expanded any further.
-            if config.expand == ExpandPolicy::PaperPruned {
-                continue;
-            }
-        }
-
-        // Lines 18–19 / full relaxation: choose partitions to expand.
-        let came_from = st.prev[di as usize].map(|p| p.via);
-        for vi in 0..space.d2p_enterable(door).len() {
-            let v = space.d2p_enterable(door)[vi];
-            if !allowed(v) {
-                continue;
-            }
-            match config.expand {
-                ExpandPolicy::PaperPruned => {
-                    if st.visited_parts[v.index()] {
-                        continue;
-                    }
-                    st.visited_parts[v.index()] = true;
-                }
-                ExpandPolicy::FullRelax => {
-                    // Never expand back into the partition the door was
-                    // reached through: distance-wise it cannot help (DM
-                    // triangle inequality), and time-wise it would let paths
-                    // *touch* a door to burn walking time until another door
-                    // opens — waiting in disguise, which the paper's
-                    // semantics exclude (footnote 2).
-                    if Some(v) == came_from {
-                        continue;
-                    }
-                }
-            }
-            stats.partitions_expanded += 1;
-            expand_partition(
-                space,
-                config,
-                &query.source,
-                checker,
-                &mut st,
-                &mut stats,
-                v,
-                Some(di),
-                d_di,
-                &allowed,
-                t0,
-                &mut observer,
-            );
-        }
-    }
-
-    stats.search_bytes = st.search_bytes();
-    checker.account(&mut stats);
-    (None, stats) // line 10: "no such routes"
 }
 
 /// Lines 25–34: relax every (currently usable) leaveable door of `v`.
@@ -524,9 +361,9 @@ fn expand_partition<C: TvChecker>(
 /// Every relaxed door records a predecessor before entering the heap, so the
 /// chain is complete whenever the target has been popped; `None` signals a
 /// broken invariant and the caller answers "no such routes" instead of
-/// unwinding. Shared verbatim by the single-target search and the
-/// multi-target sweep of [`run_search_targets`], so grouped queries assemble
-/// their paths through exactly the code their per-query twins use.
+/// unwinding. [`run_search_targets`] calls it for every target, whether the
+/// sweep carries one query or a group, and `crate::replay` for every
+/// replayed member, so all of them assemble paths through the same code.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reconstruct(
     source: &IndoorPoint,
@@ -538,19 +375,9 @@ pub(crate) fn reconstruct(
     target_prev: Option<u32>,
     t0: Timestamp,
 ) -> Option<Path> {
-    let mut doors_rev: Vec<u32> = Vec::new();
-    let mut cur = target_prev?;
-    loop {
-        doors_rev.push(cur);
-        match prev[cur as usize]?.from {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    doors_rev.reverse();
-
-    let mut hops = Vec::with_capacity(doors_rev.len());
-    for &di in &doors_rev {
+    let mut hops = Vec::new();
+    let mut cur = Some(target_prev?);
+    while let Some(di) = cur {
         let p = prev[di as usize]?;
         let d = dist[di as usize];
         hops.push(DoorHop {
@@ -559,7 +386,11 @@ pub(crate) fn reconstruct(
             distance: d,
             arrival: t0 + config.velocity.travel_time(d),
         });
+        cur = p.from;
     }
+    hops.reverse();
+    // Batch results hold many paths at once: keep no growth slack.
+    hops.shrink_to_fit();
 
     Some(Path {
         source: *source,
@@ -572,7 +403,8 @@ pub(crate) fn reconstruct(
 }
 
 /// The straight-segment answer for a target sharing the source's partition —
-/// the exact short-circuit `run_search` takes before any expansion.
+/// the short-circuit [`run_search_targets`] takes for such a target before
+/// any expansion.
 pub(crate) fn direct_path(
     source: &IndoorPoint,
     target: &IndoorPoint,
@@ -590,31 +422,38 @@ pub(crate) fn direct_path(
     }
 }
 
-/// One shared Dijkstra frontier answering a whole group of targets: the
-/// multi-target generalisation of Algorithm 1 that `VenueServer`'s shared
-/// batch execution and [`crate::one_to_many`] run one group at a time.
+/// Sentinel ending an entering-door chain in [`run_search_targets`].
+const NO_LINK: u32 = u32::MAX;
+
+/// Algorithm 1 from `source` at `time` to every point of `targets` on one
+/// Dijkstra frontier (`None` = "no such routes"): the only copy of the
+/// algorithm's loop. A per-query search is this sweep with one target;
+/// `VenueServer`'s shared batches and [`crate::one_to_many`] pass many.
+/// Each target finalises at its own heap pop, and the sweep ends when every
+/// target has popped or the frontier is exhausted.
 ///
-/// Under [`ExpandPolicy::FullRelax`] the door relaxations of Algorithm 1 do
-/// not depend on the target at all (the virtual target node is only ever
-/// *relaxed from* settled doors, never expanded), so a single sweep can carry
-/// any number of targets and each finalises — at its heap pop, exactly as in
-/// its own search — with byte-identical distance, predecessor chain and
-/// checker-state history to the per-query run. The sweep ends when every
-/// target has popped or the frontier is exhausted (`None` = "no such
-/// routes").
+/// A lone target keeps the paper's single-query semantics: Rule 2 exempts
+/// its own `P(pt)` even when private, and under
+/// [`ExpandPolicy::PaperPruned`] a door entering `P(pt)` relaxes `pt` but
+/// is not expanded further.
 ///
-/// Preconditions, enforced by callers (the server's batch planner and
-/// `one_to_many`) and debug-asserted here, because each would reintroduce a
-/// target-dependence that breaks the sharing argument:
+/// Two or more targets share the frontier. That is sound because under
+/// [`ExpandPolicy::FullRelax`] door relaxations do not depend on the target
+/// (the virtual target node is only ever *relaxed from* settled doors,
+/// never expanded), so each target finalises with byte-identical distance,
+/// predecessor chain and checker-state history to its own one-target
+/// sweep. Callers (the server's batch planner, `one_to_many`) enforce two
+/// preconditions, debug-asserted here:
 ///
 /// * `config.expand` is `FullRelax` — `PaperPruned` prunes doors that enter
 ///   the target's partition, differently per target;
-/// * every target's partition is traversable or is the source's own —
-///   Rule 2 exempts `P(pt)`, so a *private* target partition enlarges the
-///   traversable set for that query alone.
+/// * every target's partition is traversable or is the source's own — a
+///   *private* `P(pt)` would enlarge the traversable set for that target
+///   alone.
 ///
-/// Targets sharing the source's partition are answered with the straight
-/// segment, as in the single-target short-circuit.
+/// Targets sharing the source's partition get the straight segment
+/// ([`direct_path`]): it crosses no door and, partitions being decomposed
+/// into near-convex cells, is shortest.
 pub(crate) fn run_search_targets<C: TvChecker>(
     graph: &ItGraph,
     source: &IndoorPoint,
@@ -624,8 +463,10 @@ pub(crate) fn run_search_targets<C: TvChecker>(
     checker: &mut C,
     observer: &mut SweepObserver,
 ) -> (Vec<Option<Path>>, SearchStats) {
+    let lone = targets.len() == 1;
+    let pruned = config.expand == ExpandPolicy::PaperPruned;
     debug_assert!(
-        config.expand == ExpandPolicy::FullRelax,
+        lone || !pruned,
         "shared execution requires FullRelax (target-independent relaxations)"
     );
     let space = graph.space();
@@ -639,8 +480,10 @@ pub(crate) fn run_search_targets<C: TvChecker>(
     let mut done = vec![false; targets.len()];
     let mut remaining = 0usize;
 
-    // Doors that can enter each pending target's partition, door-indexed.
-    let mut enters: Vec<Vec<u32>> = vec![Vec::new(); space.num_doors()];
+    // Doors that can enter each pending target's partition: per door the
+    // head of a chain through `links` of (target, next link) pairs.
+    let mut head = vec![NO_LINK; space.num_doors()];
+    let mut links: Vec<(u32, u32)> = Vec::new();
     for (k, target) in targets.iter().enumerate() {
         if target.partition == src_p {
             paths[k] = Some(direct_path(source, target, config, t0));
@@ -648,12 +491,13 @@ pub(crate) fn run_search_targets<C: TvChecker>(
             continue;
         }
         debug_assert!(
-            space.partition(target.partition).kind.traversable(),
+            lone || space.partition(target.partition).kind.traversable(),
             "shared execution requires traversable target partitions"
         );
         remaining += 1;
         for &d in space.p2d_enterable(target.partition) {
-            enters[d.index()].push(k as u32);
+            links.push((k as u32, head[d.index()]));
+            head[d.index()] = (links.len() - 1) as u32;
         }
     }
     if remaining == 0 {
@@ -661,16 +505,16 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         return (paths, stats);
     }
 
-    // The single-target state, reused so `expand_partition` is shared
-    // verbatim; its per-target fields (`enters_target`, `target_dist`,
-    // `target_prev`) stay untouched — this sweep keeps its own per-target
-    // arrays instead.
-    let mut st = SearchState::new(space, src_p);
+    let mut st = SearchState::new(space);
 
-    // Rule 2 under the preconditions: every partition a route may traverse is
-    // traversable or the source's own (target partitions are traversable).
-    let allowed = |v: PartitionId| -> bool { v == src_p || space.partition(v).kind.traversable() };
+    // Rule 2: private partitions may be traversed only if they contain ps or,
+    // for a lone target, pt (a shared sweep's targets are traversable).
+    let exempt = if lone { targets[0].partition } else { src_p };
+    let allowed = |v: PartitionId| -> bool {
+        v == src_p || v == exempt || space.partition(v).kind.traversable()
+    };
 
+    // Source expansion: Algorithm 1 with di = ps, v = P(ps).
     st.visited_parts[src_p.index()] = true;
     stats.partitions_expanded += 1;
     expand_partition(
@@ -680,17 +524,14 @@ pub(crate) fn run_search_targets<C: TvChecker>(
 
     while let Some(entry) = st.heap.pop() {
         stats.heap_pops += 1;
-        if let Node::Door(i) = entry.node {
-            if !st.settled[i as usize] {
-                observer.push_door(DoorEvent::Pop { door: i });
-            }
-        }
         let di = match entry.node {
             Node::Target(k) => {
                 let k = k as usize;
                 if done[k] || entry.dist > target_dist[k] {
                     continue; // finalised already, or stale after an improvement
                 }
+                // `reconstruct` is `None` only on a broken predecessor
+                // invariant; degrade to "no such routes" rather than panic.
                 paths[k] = reconstruct(
                     source,
                     &targets[k],
@@ -715,35 +556,55 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         }
         st.settled[di as usize] = true;
         stats.doors_settled += 1;
+        observer.push_door(DoorEvent::Pop { door: di });
         let door = DoorId(di);
         let d_di = st.dist[di as usize];
 
         // Lines 20–24 per pending target: a settled door entering P(pt)
-        // relaxes that target directly.
-        for &k in &enters[di as usize] {
-            let k = k as usize;
-            if done[k] {
+        // relaxes that target directly …
+        let mut link = head[di as usize];
+        let enters_target = link != NO_LINK;
+        while link != NO_LINK {
+            let (k, next) = links[link as usize];
+            link = next;
+            if done[k as usize] {
                 continue;
             }
-            if let Some(pd) = space.point_to_door(&targets[k], door) {
+            if let Some(pd) = space.point_to_door(&targets[k as usize], door) {
                 let cand = d_di + pd;
-                let improved = cand < target_dist[k];
-                observer.push_target(k as u32, di, pd);
-                if improved {
-                    target_dist[k] = cand;
-                    target_prev[k] = Some(di);
-                    st.heap.push(cand, Node::Target(k as u32));
+                observer.push_target(k, di, pd);
+                if cand < target_dist[k as usize] {
+                    target_dist[k as usize] = cand;
+                    target_prev[k as usize] = Some(di);
+                    st.heap.push(cand, Node::Target(k));
                     stats.heap_pushes += 1;
                 }
             }
         }
+        // … and, in the paper's reading, is not expanded any further.
+        if pruned && enters_target {
+            continue;
+        }
 
-        // Full relaxation: expand every enterable partition except the one
-        // the door was reached through (see `run_search` for why).
+        // Lines 18–19 / full relaxation: choose partitions to expand.
         let came_from = st.prev[di as usize].map(|p| p.via);
         for vi in 0..space.d2p_enterable(door).len() {
             let v = space.d2p_enterable(door)[vi];
-            if !allowed(v) || Some(v) == came_from {
+            if !allowed(v) {
+                continue;
+            }
+            if pruned {
+                if st.visited_parts[v.index()] {
+                    continue;
+                }
+                st.visited_parts[v.index()] = true;
+            } else if Some(v) == came_from {
+                // Never expand back into the partition the door was reached
+                // through: distance-wise it cannot help (DM triangle
+                // inequality), and time-wise it would let paths *touch* a
+                // door to burn walking time until another door opens —
+                // waiting in disguise, which the paper's semantics exclude
+                // (footnote 2).
                 continue;
             }
             stats.partitions_expanded += 1;
@@ -764,7 +625,10 @@ pub(crate) fn run_search_targets<C: TvChecker>(
         }
     }
 
-    stats.search_bytes = st.search_bytes() + targets.len() * (std::mem::size_of::<f64>() + 2 + 8);
+    // Each target beyond the first adds its distance, flags and path slot.
+    stats.search_bytes =
+        st.search_bytes() + (targets.len() - 1) * (std::mem::size_of::<f64>() + 2 + 8);
+    stats.peak_heap = st.heap.peak();
     checker.account(&mut stats);
     (paths, stats)
 }

@@ -11,7 +11,7 @@ pub(crate) enum Node {
     /// A door, by `DoorId::index()`.
     Door(u32),
     /// A virtual target node `pt`, by its index within the search's target
-    /// set (always 0 for single-target searches).
+    /// set (always 0 for a per-query search).
     Target(u32),
 }
 

@@ -15,7 +15,7 @@ use indoor_space::{DoorId, IndoorPoint, PartitionId};
 use indoor_time::{TimeOfDay, Timestamp};
 
 use crate::engine_syn::SynChecker;
-use crate::framework::{run_search, run_search_targets, SweepObserver};
+use crate::framework::{run_search_targets, SweepObserver};
 use crate::heap::{MinHeap, Node};
 use crate::ord::min_dist;
 use crate::{ExpandPolicy, ItGraph, ItspqConfig, Path, SearchStats};
@@ -104,53 +104,44 @@ pub fn paths_to_many(
 ) -> TargetPaths {
     let space = graph.space();
     let config = config.with_expand(ExpandPolicy::FullRelax);
-    let t0 = Timestamp::from_time_of_day(time);
+    let sweep = |targets: &[IndoorPoint]| {
+        let mut checker = SynChecker {
+            space,
+            velocity: config.velocity,
+            t0: Timestamp::from_time_of_day(time),
+        };
+        let mut observer = SweepObserver::off();
+        run_search_targets(
+            graph,
+            &source,
+            time,
+            targets,
+            &config,
+            &mut checker,
+            &mut observer,
+        )
+    };
 
-    // Split off targets the shared frontier cannot carry (private/outdoor
-    // partitions away from the source): they run as singleton searches.
-    let sharable: Vec<IndoorPoint> = targets
+    // Targets the shared frontier cannot carry (private/outdoor partitions
+    // away from the source) run as one-target sweeps.
+    let sharable = |t: &IndoorPoint| {
+        t.partition == source.partition || space.partition(t.partition).kind.traversable()
+    };
+    let shared: Vec<IndoorPoint> = targets.iter().copied().filter(sharable).collect();
+    let (shared_paths, mut stats) = sweep(&shared);
+    let mut shared_paths = shared_paths.into_iter();
+    let paths = targets
         .iter()
-        .copied()
-        .filter(|t| {
-            t.partition == source.partition || space.partition(t.partition).kind.traversable()
+        .map(|t| {
+            if sharable(t) {
+                shared_paths.next().flatten()
+            } else {
+                let (mut path, s) = sweep(std::slice::from_ref(t));
+                stats.merge(&s);
+                path.pop().flatten()
+            }
         })
         .collect();
-
-    let mut checker = SynChecker {
-        space,
-        velocity: config.velocity,
-        t0,
-    };
-    let (mut shared_paths, mut stats) = run_search_targets(
-        graph,
-        &source,
-        time,
-        &sharable,
-        &config,
-        &mut checker,
-        &mut SweepObserver::off(),
-    );
-
-    let mut paths = Vec::with_capacity(targets.len());
-    let mut shared_iter = 0usize;
-    for target in targets {
-        if target.partition == source.partition
-            || space.partition(target.partition).kind.traversable()
-        {
-            paths.push(shared_paths[shared_iter].take());
-            shared_iter += 1;
-        } else {
-            let mut single = SynChecker {
-                space,
-                velocity: config.velocity,
-                t0,
-            };
-            let q = crate::Query::new(source, *target, time);
-            let (path, s) = run_search(graph, &q, &config, &mut single);
-            stats.merge(&s);
-            paths.push(path);
-        }
-    }
 
     TargetPaths {
         source,

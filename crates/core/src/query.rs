@@ -34,6 +34,13 @@ pub enum QueryError {
         /// Number of partitions in the venue.
         num_partitions: usize,
     },
+    /// The departure time lies outside `[0, 86 400]` seconds or is not
+    /// finite — a value [`TimeOfDay::from_seconds`] rejects, which a
+    /// deserialised query can still carry.
+    TimeOutOfRange {
+        /// The offending departure time in seconds since midnight.
+        seconds: f64,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -50,6 +57,9 @@ impl fmt::Display for QueryError {
                 f,
                 "{endpoint} partition index {index} out of range (venue has {num_partitions})"
             ),
+            QueryError::TimeOutOfRange { seconds } => {
+                write!(f, "departure time {seconds} s is outside the day")
+            }
         }
     }
 }
@@ -85,11 +95,13 @@ impl Query {
     }
 
     /// Checks that the query is evaluable against `space`: both endpoints
-    /// have finite coordinates and name existing partitions.
+    /// have finite coordinates and name existing partitions, and the
+    /// departure time is one [`TimeOfDay::from_seconds`] accepts.
     ///
     /// # Errors
     /// [`QueryError::NonFinitePosition`] or [`QueryError::UnknownPartition`]
-    /// on the first malformed endpoint (source checked before target).
+    /// on the first malformed endpoint (source checked before target), else
+    /// [`QueryError::TimeOutOfRange`] for a departure outside the day.
     pub fn validate(&self, space: &IndoorSpace) -> Result<(), QueryError> {
         let n = space.num_partitions();
         for (endpoint, p) in [("source", &self.source), ("target", &self.target)] {
@@ -104,6 +116,11 @@ impl Query {
                     num_partitions: n,
                 });
             }
+        }
+        // Deserialisation bypasses `from_seconds`, so re-check the time here.
+        let seconds = self.time.seconds();
+        if TimeOfDay::from_seconds(seconds).is_err() {
+            return Err(QueryError::TimeOutOfRange { seconds });
         }
         Ok(())
     }

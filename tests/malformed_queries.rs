@@ -75,6 +75,47 @@ fn try_query_rejects_unknown_partition() {
     }
 }
 
+/// A query as a client would send it, departing an hour *before* midnight:
+/// deserialisation does not range-check `TimeOfDay`, so only validation
+/// stands between this value and the search.
+fn negative_time_query(ex: &paper_example::PaperExample) -> Query {
+    let json = format!(
+        r#"{{"source":{},"target":{},"time":-3600.0}}"#,
+        serde_json::to_string(&ex.p3).expect("serialise source"),
+        serde_json::to_string(&ex.p4).expect("serialise target"),
+    );
+    serde_json::from_str(&json).expect("parses despite the range")
+}
+
+#[test]
+fn try_query_rejects_out_of_range_time() {
+    let ex = paper_example::build();
+    let q = negative_time_query(&ex);
+    assert_eq!(q.time.seconds(), -3600.0);
+    let want = QueryError::TimeOutOfRange { seconds: -3600.0 };
+    let syn = SynEngine::new(ItGraph::new(ex.space.clone()), ItspqConfig::default());
+    let asyn = AsynEngine::new(ItGraph::new(ex.space.clone()), ItspqConfig::default());
+    assert_eq!(syn.try_query(&q).unwrap_err(), want);
+    assert_eq!(asyn.try_query(&q).unwrap_err(), want);
+    assert!(want.to_string().contains("-3600"));
+}
+
+#[test]
+fn try_query_batch_rejects_out_of_range_time() {
+    let ex = paper_example::build();
+    let server = VenueServer::new(ItGraph::shared(ex.space.clone()));
+    let good = Query::new(ex.p3, ex.p4, TimeOfDay::hm(9, 0));
+    let results = server.try_query_batch(&[good, negative_time_query(&ex), good]);
+    assert_eq!(
+        results[1].as_ref().unwrap_err(),
+        &QueryError::TimeOutOfRange { seconds: -3600.0 }
+    );
+    for r in [&results[0], &results[2]] {
+        let path = r.as_ref().expect("well-formed query").path.as_ref();
+        assert!((path.expect("feasible at 9:00").length - 12.0).abs() < 1e-9);
+    }
+}
+
 #[test]
 fn try_query_accepts_well_formed_queries() {
     let ex = paper_example::build();
